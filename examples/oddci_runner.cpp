@@ -6,7 +6,9 @@
 //   oddci_runner <scenario.cfg> [--progress] [key=value overrides...]
 //
 // Every parameter has a default, so `oddci_runner /dev/null` runs a sane
-// baseline scenario. Overrides on the command line win over the file.
+// baseline scenario. Overrides on the command line win over the file. A
+// key that no parameter reads (a typo, or a retired key) is rejected with
+// exit code 2 and the nearest accepted key as a hint.
 // `--progress` (or progress=1) streams one NDJSON line of run telemetry
 // to stderr every `progress_every_s` of sim time (wall-gated to >= 2 Hz).
 
@@ -18,6 +20,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "analytical/models.hpp"
 #include "control/policy.hpp"
@@ -154,16 +158,21 @@ core::SystemConfig system_config(const util::Config& cfg) {
   if (pace_window_s > 0.0) {
     config.heartbeat.pace_window = sim::SimTime::from_seconds(pace_window_s);
   }
+  // Sub-section keys (return_channel_*, churn_*, fault_*, verify_*, ...)
+  // are read whether or not their section is switched on, so every
+  // accepted key counts as known on every run (see reject_unknown_keys).
+  core::SystemConfig::ReturnChannelOptions return_channel;
+  return_channel.aggregator_uplink = util::BitRate::from_mbps(
+      cfg.get_double("return_channel_agg_up_mbps", 2.0));
+  return_channel.aggregator_downlink = util::BitRate::from_mbps(
+      cfg.get_double("return_channel_agg_down_mbps", 8.0));
+  return_channel.controller_downlink = util::BitRate::from_mbps(
+      cfg.get_double("return_channel_ctl_down_mbps", 16.0));
+  return_channel.queue_limit = sim::SimTime::from_seconds(
+      cfg.get_double("return_channel_queue_s", 2.0));
   if (cfg.get_bool("return_channel", false)) {
-    config.return_channel.enabled = true;
-    config.return_channel.aggregator_uplink = util::BitRate::from_mbps(
-        cfg.get_double("return_channel_agg_up_mbps", 2.0));
-    config.return_channel.aggregator_downlink = util::BitRate::from_mbps(
-        cfg.get_double("return_channel_agg_down_mbps", 8.0));
-    config.return_channel.controller_downlink = util::BitRate::from_mbps(
-        cfg.get_double("return_channel_ctl_down_mbps", 16.0));
-    config.return_channel.queue_limit = sim::SimTime::from_seconds(
-        cfg.get_double("return_channel_queue_s", 2.0));
+    return_channel.enabled = true;
+    config.return_channel = return_channel;
   }
   config.obs.sample_interval =
       sim::SimTime::from_seconds(cfg.get_double("sample_interval_s", 10.0));
@@ -177,7 +186,6 @@ core::SystemConfig system_config(const util::Config& cfg) {
       cfg.get_int("trace_capacity", 1 << 16));
   config.obs.health_tamper_lost =
       static_cast<std::uint64_t>(cfg.get_int("health_tamper_lost", 0));
-  config.fanout_fast_path = cfg.get_bool("fanout_fast_path", true);
   // Sharded parallel kernel: worker-thread shard count ("threads" is an
   // accepted alias). 1 = the classic single-threaded kernel; existing
   // scenario files are unchanged.
@@ -213,17 +221,14 @@ core::SystemConfig system_config(const util::Config& cfg) {
   config.initial_power = power == "in-use" ? dtv::PowerMode::kInUse
                                            : dtv::PowerMode::kStandby;
 
-  if (cfg.get_bool("churn", false)) {
-    core::ChurnOptions churn;
-    churn.mean_on_seconds = cfg.get_double("churn_on_s", 3600.0);
-    churn.mean_off_seconds = cfg.get_double("churn_off_s", 1800.0);
-    churn.in_use_probability = cfg.get_double("churn_in_use", 0.7);
-    config.churn = churn;
-  }
+  core::ChurnOptions churn;
+  churn.mean_on_seconds = cfg.get_double("churn_on_s", 3600.0);
+  churn.mean_off_seconds = cfg.get_double("churn_off_s", 1800.0);
+  churn.in_use_probability = cfg.get_double("churn_in_use", 0.7);
+  if (cfg.get_bool("churn", false)) config.churn = churn;
 
-  if (cfg.get_bool("fault", false)) {
-    fault::FaultOptions& f = config.fault;
-    f.enabled = true;
+  {
+    fault::FaultOptions f;
     f.seed = static_cast<std::uint64_t>(cfg.get_int("fault_seed", 0));
     f.message_loss = cfg.get_double("fault_loss", 0.0);
     f.message_duplication = cfg.get_double("fault_duplication", 0.0);
@@ -280,14 +285,17 @@ core::SystemConfig system_config(const util::Config& cfg) {
         cfg.get_double("byzantine_freeriders", 0.0);
     f.byzantine_collusion_size =
         static_cast<std::uint32_t>(cfg.get_int("byzantine_collusion", 0));
+    if (cfg.get_bool("fault", false)) {
+      f.enabled = true;
+      config.fault = f;
+    }
   }
 
   // Backend-side Byzantine defense: redundant dispatch + quorum voting,
   // seeded spot checks, and the reputation ledger. Off by default (the
   // naive path stays byte-identical to the pre-verification tree).
-  if (cfg.get_bool("verify", false)) {
-    core::VerifyOptions& v = config.verify;
-    v.enabled = true;
+  {
+    core::VerifyOptions v;
     v.redundancy =
         static_cast<std::uint32_t>(cfg.get_int("verify_redundancy", 2));
     v.trusted_redundancy = static_cast<std::uint32_t>(
@@ -312,6 +320,10 @@ core::SystemConfig system_config(const util::Config& cfg) {
     v.parole_checks = static_cast<std::uint32_t>(
         cfg.get_int("reputation_parole_checks", 3));
     v.seed = static_cast<std::uint64_t>(cfg.get_int("verify_seed", 0));
+    if (cfg.get_bool("verify", false)) {
+      v.enabled = true;
+      config.verify = v;
+    }
   }
   return config;
 }
@@ -324,6 +336,21 @@ workload::Job job_from(const util::Config& cfg) {
       util::Bits::from_bytes(cfg.get_int("task_input_bytes", 512)),
       util::Bits::from_bytes(cfg.get_int("task_result_bytes", 512)),
       cfg.get_double("task_seconds", 30.0));
+}
+
+/// Every key set in the file or on the command line must have been read
+/// by a getter by now; anything else is a typo or a retired key (such as
+/// `fanout_fast_path`) that would otherwise run silently at the defaults.
+/// Prints one line per rejected key and returns false if there was any.
+bool reject_unknown_keys(const util::Config& cfg) {
+  const std::vector<std::string> unknown = cfg.unread_keys();
+  for (const std::string& key : unknown) {
+    std::cerr << "config error: unknown key '" << key << "'";
+    const std::string nearest = cfg.nearest_read_key(key);
+    if (!nearest.empty()) std::cerr << " (did you mean '" << nearest << "'?)";
+    std::cerr << "\n";
+  }
+  return unknown.empty();
 }
 
 }  // namespace
@@ -360,6 +387,15 @@ int main(int argc, char** argv) {
     const auto instance_size =
         static_cast<std::size_t>(cfg.get_int("instance_size", 200));
     const double deadline_h = cfg.get_double("deadline_hours", 48.0);
+    const bool progress = cfg.get_bool("progress", false);
+    const double progress_every_s = cfg.get_double("progress_every_s", 30.0);
+    const double max_overhead = cfg.get_double("verify_max_overhead", 0.0);
+    // Optional machine-readable exports (empty = off).
+    const std::string metrics_json = cfg.get_string("metrics_json", "");
+    const std::string series_csv = cfg.get_string("series_csv", "");
+    const std::string trace_json = cfg.get_string("trace_json", "");
+    const std::string profile_json = cfg.get_string("profile_json", "");
+    if (!reject_unknown_keys(cfg)) return 2;
 
     std::cout << "scenario: " << argv[1] << "\n"
               << "  " << config.receivers << " receivers ("
@@ -373,9 +409,7 @@ int main(int argc, char** argv) {
               << job.avg_reference_seconds() << " s\n\n";
 
     core::OddciSystem system(config);
-    if (cfg.get_bool("progress", false)) {
-      install_progress(system, cfg.get_double("progress_every_s", 30.0));
-    }
+    if (progress) install_progress(system, progress_every_s);
     const auto result = system.run_job(
         job, instance_size, sim::SimTime::from_hours(deadline_h));
 
@@ -476,7 +510,6 @@ int main(int argc, char** argv) {
                 << " paroles, " << vs.trusted_promotions
                 << " trusted promotions; overhead "
                 << util::Table::fmt(overhead, 2) << "x per verified task\n";
-      const double max_overhead = cfg.get_double("verify_max_overhead", 0.0);
       if (result.completed && vs.tasks_verified != job.task_count()) {
         std::cerr << "INVARIANT VIOLATION: " << vs.tasks_verified
                   << " verified quorums for " << job.task_count()
@@ -495,19 +528,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Optional machine-readable exports of the run's full MetricsSnapshot
-    // (scenario keys `metrics_json` / `series_csv`, empty = off).
-    const std::string metrics_json = cfg.get_string("metrics_json", "");
+    // Machine-readable exports of the run's full MetricsSnapshot.
     if (!metrics_json.empty()) {
       obs::write_json(metrics_json, result.metrics);
       std::cout << "  wrote " << metrics_json << "\n";
     }
-    const std::string series_csv = cfg.get_string("series_csv", "");
     if (!series_csv.empty()) {
       obs::write_series_csv(series_csv, result.metrics);
       std::cout << "  wrote " << series_csv << "\n";
     }
-    const std::string trace_json = cfg.get_string("trace_json", "");
     if (!trace_json.empty() && system.flight_recorder() != nullptr) {
       // Merge the per-shard rings so a K>1 run exports one chronological
       // population-wide trace, byte-identical per (seed, K).
@@ -525,7 +554,6 @@ int main(int argc, char** argv) {
                 << ", imbalance " << util::Table::fmt(prof.imbalance_mean, 2)
                 << " (max " << util::Table::fmt(prof.imbalance_max, 2)
                 << ")\n";
-      const std::string profile_json = cfg.get_string("profile_json", "");
       if (!profile_json.empty()) {
         obs::write_profile_json(profile_json, prof);
         std::cout << "  wrote " << profile_json << "\n";

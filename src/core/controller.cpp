@@ -8,47 +8,6 @@
 
 namespace oddci::core {
 
-namespace {
-// One-time (per process) deprecation warnings for the ControllerOptions
-// policy aliases; reset_controller_deprecation_warnings() re-arms them for
-// tests.
-bool warned_monitor_interval = false;
-bool warned_stale_factor = false;
-bool warned_overshoot_margin = false;
-
-void warn_alias(bool& flag, const char* field) {
-  if (flag) return;
-  flag = true;
-  ODDCI_LOG_WARN("controller")
-      << "ControllerOptions::" << field
-      << " is deprecated; set SystemConfig::control." << field
-      << " (control::PolicyOptions) instead";
-}
-}  // namespace
-
-void reset_controller_deprecation_warnings() {
-  warned_monitor_interval = false;
-  warned_stale_factor = false;
-  warned_overshoot_margin = false;
-}
-
-control::PolicyOptions ControllerOptions::effective_policy() const {
-  control::PolicyOptions out = policy;
-  if (monitor_interval) {
-    warn_alias(warned_monitor_interval, "monitor_interval");
-    out.monitor_interval = *monitor_interval;
-  }
-  if (stale_factor) {
-    warn_alias(warned_stale_factor, "stale_factor");
-    out.stale_factor = *stale_factor;
-  }
-  if (overshoot_margin) {
-    warn_alias(warned_overshoot_margin, "overshoot_margin");
-    out.overshoot_margin = *overshoot_margin;
-  }
-  return out;
-}
-
 Controller::Controller(sim::Simulation& simulation, net::Network& network,
                        broadcast::BroadcastMedium& channel,
                        ContentStore& store, broadcast::SigningKey key,
@@ -75,9 +34,7 @@ Controller::Controller(sim::Simulation& simulation, net::Network& network,
       throw std::invalid_argument("Controller: null channel");
     }
   }
-  options_.policy = options_.effective_policy();
-  // make_engine validates (throws std::invalid_argument on bad knobs,
-  // whether set directly or through a deprecated alias).
+  // make_engine validates (throws std::invalid_argument on bad knobs).
   engine_ = control::make_engine(options_.policy);
   default_heartbeat_ = options_.default_heartbeat;
   node_id_ = network_.register_endpoint(this, link);
@@ -93,13 +50,13 @@ void Controller::deploy_pna() {
 
   // AIT: the PNA is a trigger application (AUTOSTART).
   broadcast::AitEntry entry;
-  entry.application_id = options_.pna_application_id;
+  entry.application_id = kPnaApplicationId;
   entry.control_code = broadcast::AppControlCode::kAutostart;
-  entry.application_name = options_.pna_application_name;
-  entry.base_file = options_.pna_file;
+  entry.application_name = kPnaApplicationName;
+  entry.base_file = kPnaFile;
   for (auto* channel : channels_) {
     channel->ait().upsert(entry);
-    channel->put_file(options_.pna_file, options_.pna_xlet_size,
+    channel->put_file(kPnaFile, options_.pna_xlet_size,
                       /*content_id=*/0);
   }
 
@@ -147,7 +104,7 @@ obs::TraceContext Controller::broadcast_control(const ControlMessage& message) {
   const std::uint64_t content = store_.put_control(signed_message);
   // The configuration file is small; its size models a compact encoding.
   for (auto* channel : channels_) {
-    channel->put_file(options_.config_file, util::Bits::from_bytes(512),
+    channel->put_file(kPnaConfigFile, util::Bits::from_bytes(512),
                       content);
   }
   stage_and_commit();
@@ -961,7 +918,7 @@ bool Controller::corrupt_on_air_control() {
   tampered.probability = tampered.probability * 0.5 + 0.25;
   corrupted_content_ = store_.put_control(tampered);
   for (auto* channel : channels_) {
-    channel->put_file(options_.config_file, util::Bits::from_bytes(512),
+    channel->put_file(kPnaConfigFile, util::Bits::from_bytes(512),
                       corrupted_content_);
   }
   stage_and_commit();
@@ -972,7 +929,7 @@ void Controller::restore_on_air_control() {
   if (corrupted_content_ == 0) return;
   if (last_config_content_ != 0) {
     for (auto* channel : channels_) {
-      channel->put_file(options_.config_file, util::Bits::from_bytes(512),
+      channel->put_file(kPnaConfigFile, util::Bits::from_bytes(512),
                         last_config_content_);
     }
     stage_and_commit();

@@ -62,28 +62,12 @@ struct ControllerOptions {
   /// knobs. Populated from SystemConfig::control.
   control::PolicyOptions policy;
 
-  /// Deprecated aliases for the policy knobs that used to live here.
-  /// A set alias is forwarded into `policy` (overriding it) with a
-  /// one-time warning; prefer `policy.monitor_interval` & friends.
-  std::optional<sim::SimTime> monitor_interval;
-  std::optional<double> stale_factor;
-  std::optional<double> overshoot_margin;
-
-  /// `policy` with any set deprecated aliases applied (warns once per
-  /// alias per process). Does not validate.
-  [[nodiscard]] control::PolicyOptions effective_policy() const;
-
-  /// Size of the PNA Xlet staged on the carousel.
+  /// Size of the PNA Xlet staged on the carousel. (Its AIT identity and
+  /// carousel file names are the protocol constants in core/messages.hpp.)
   util::Bits pna_xlet_size = util::Bits::from_kilobytes(64);
   /// Heartbeat interval announced in the deployment hello (agents adopt
   /// per-instance intervals from later wakeups).
   sim::SimTime default_heartbeat = sim::SimTime::from_seconds(30);
-  /// Carousel file names.
-  std::string pna_file = "pna.xlet";
-  std::string config_file = "oddci.config";
-  /// AIT identity of the PNA trigger application.
-  std::uint32_t pna_application_id = 0x4F44;  // "OD"
-  std::string pna_application_name = "oddci-pna";
   /// Aggregator failover: an aggregator that has reported at least once
   /// but then stays silent this long is voided from the heartbeat routing
   /// (its PNAs re-home to the Controller) until it reports again. Zero
@@ -96,10 +80,6 @@ struct ControllerOptions {
   /// (direct reporters — failover fallback — keep a windowed prune).
   HeartbeatMode heartbeat_mode = HeartbeatMode::kNaive;
 };
-
-/// Test hook: re-arm the one-time ControllerOptions alias deprecation
-/// warnings.
-void reset_controller_deprecation_warnings();
 
 class Controller final : public net::Endpoint {
  public:

@@ -25,6 +25,15 @@ namespace oddci::core {
 using InstanceId = std::uint64_t;
 inline constexpr InstanceId kNoInstance = 0;
 
+/// On-air identity of the PNA trigger application: the AIT entry the
+/// Controller signals, the name receivers launch it under, and the
+/// carousel files it travels in. The Controller and every agent must agree
+/// on all four, so they are protocol constants rather than options.
+inline constexpr std::uint32_t kPnaApplicationId = 0x4F44;  // "OD"
+inline constexpr char kPnaApplicationName[] = "oddci-pna";
+inline constexpr char kPnaFile[] = "pna.xlet";
+inline constexpr char kPnaConfigFile[] = "oddci.config";
+
 /// The application image that a wakeup stages on the carousel.
 struct ImageSpec {
   std::uint64_t image_id = 0;

@@ -10,6 +10,10 @@ PnaXlet::PnaXlet(const PnaEnvironment& environment, std::uint64_t seed)
   if (env_->content_store == nullptr) {
     throw std::invalid_argument("PnaXlet: null content store");
   }
+  if (env_->verify_cache == nullptr || env_->heartbeat_pool == nullptr) {
+    throw std::invalid_argument(
+        "PnaXlet: environment needs a verify cache and a heartbeat pool");
+  }
 }
 
 PnaXlet::~PnaXlet() { *alive_ = false; }
@@ -100,7 +104,7 @@ void PnaXlet::acquire_config() {
   if (const broadcast::CarouselSnapshot* on_air =
           context_->current_carousel()) {
     if (const broadcast::CarouselFile* announced =
-            on_air->find(env_->config_file)) {
+            on_air->find(kPnaConfigFile)) {
       if (announced->content_id == last_handled_content_ ||
           announced->content_id == pending_read_content_) {
         return;
@@ -110,7 +114,7 @@ void PnaXlet::acquire_config() {
   }
   std::weak_ptr<bool> alive = alive_;
   context_->read_carousel_file(
-      env_->config_file,
+      kPnaConfigFile,
       [this, alive](bool ok, const broadcast::CarouselFile& file) {
         auto guard = alive.lock();
         if (!guard || !*guard || !started_) return;
@@ -123,55 +127,27 @@ void PnaXlet::acquire_config() {
         // generation change between issue and delivery.
         if (file.content_id == last_handled_content_) return;
         last_handled_content_ = file.content_id;
-        if (env_->verify_cache != nullptr) {
-          // Fast path: the population shares one immutable decoded message
-          // (canonical bytes + digest computed once per broadcast).
-          const PreparedControlPtr control =
-              env_->content_store->get_control_shared(file.content_id);
-          if (!control) return;
-          handle_control(*control);
-          return;
-        }
-        // Decode the configuration file's wire bytes, as a real agent
-        // parses the carousel module it assembled.
-        const std::optional<ControlMessage> control =
-            env_->content_store->get_control(file.content_id);
+        // The population shares one immutable decoded message (canonical
+        // bytes + digest computed once per broadcast).
+        const PreparedControlPtr control =
+            env_->content_store->get_control_shared(file.content_id);
         if (!control) return;
         handle_control(*control);
       });
 }
 
-void PnaXlet::handle_control(const ControlMessage& message) {
-  ++stats_.control_messages_seen;
-  if (env_->counters != nullptr) ++env_->counters->control_messages_seen;
-  // Accept only messages signed by the associated Controller.
-  if (!message.verify_with(env_->trusted_key)) {
-    ++stats_.signature_failures;
-    if (env_->counters != nullptr) ++env_->counters->signature_failures;
-    return;
-  }
-  dispatch_control(message);
-}
-
 void PnaXlet::handle_control(const PreparedControl& prepared) {
   ++stats_.control_messages_seen;
   if (env_->counters != nullptr) ++env_->counters->control_messages_seen;
-  // Same acceptance rule as the slow path, resolved against the shared
-  // canonical bytes — memoized across the population when a cache is
-  // attached, so the broadcast hashes once instead of once per agent.
-  const bool accepted =
-      env_->verify_cache != nullptr
-          ? prepared.verify_with(env_->trusted_key, *env_->verify_cache)
-          : prepared.verify_with(env_->trusted_key);
-  if (!accepted) {
+  // Accept only messages signed by the associated Controller. The check
+  // runs against the shared canonical bytes and is memoized across the
+  // shard's agents, so a broadcast hashes once instead of once per agent.
+  if (!prepared.verify_with(env_->trusted_key, *env_->verify_cache)) {
     ++stats_.signature_failures;
     if (env_->counters != nullptr) ++env_->counters->signature_failures;
     return;
   }
-  dispatch_control(prepared.message);
-}
-
-void PnaXlet::dispatch_control(const ControlMessage& message) {
+  const ControlMessage& message = prepared.message;
   control_ctx_ = trace_emit(obs::TraceEventKind::kControlReceived,
                             message.trace, message.instance);
   // The control message tells the agent where its Controller lives; start
@@ -404,15 +380,11 @@ void PnaXlet::send_heartbeat_now() {
   const obs::TraceContext ctx =
       trace_emit(obs::TraceEventKind::kHeartbeatSent, parent,
                  static_cast<std::uint64_t>(state()));
-  // Pooled path recycles an exclusively-held message (object + control
+  // The pool recycles an exclusively-held message (object + control
   // block) instead of allocating one per beat.
-  net::MessagePtr hb =
-      env_->heartbeat_pool != nullptr
-          ? net::MessagePtr(env_->heartbeat_pool->acquire(pna_id(), state(),
-                                                         instance(), ctx))
-          : std::make_shared<HeartbeatMessage>(pna_id(), state(), instance(),
-                                               ctx);
-  context_->receiver().send(heartbeat_target_, std::move(hb));
+  context_->receiver().send(
+      heartbeat_target_,
+      env_->heartbeat_pool->acquire(pna_id(), state(), instance(), ctx));
 }
 
 void PnaXlet::request_task() {

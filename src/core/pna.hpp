@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "core/content_store.hpp"
 #include "core/dve.hpp"
@@ -25,12 +24,12 @@
 /// drives the Backend task-pull loop while busy.
 namespace oddci::core {
 
-/// Deployment-wide PNA configuration (what the carousel's configuration
-/// file and the agent's build-time defaults provide).
+/// PNA configuration shared by the agents of one shard (what the
+/// carousel's configuration file and the agent's build-time defaults
+/// provide, plus the shard's instrument and fast-path cells).
 struct PnaEnvironment {
   const ContentStore* content_store = nullptr;
   broadcast::SigningKey trusted_key = 0;
-  std::string config_file = "oddci.config";
   /// Retry period for polling the Backend after a NoTask reply.
   sim::SimTime task_poll_interval = sim::SimTime::from_seconds(10);
 
@@ -56,13 +55,13 @@ struct PnaEnvironment {
   /// enabling pacing never perturbs the population's draw sequences).
   std::uint64_t heartbeat_phase_seed = 0;
 
-  // --- fan-out fast path (both nullable: agents fall back to the
-  // per-message decode/verify/allocate slow path) ---------------------------
+  // --- fan-out fast path (both required) ------------------------------------
 
-  /// Population-shared memoized signature verification: with N agents
-  /// sharing one cache, a broadcast costs one keyed hash, not N.
+  /// Memoized signature verification shared by every agent of one shard:
+  /// with N agents sharing one cache, a broadcast costs one keyed hash,
+  /// not N.
   broadcast::VerifyCache* verify_cache = nullptr;
-  /// Population-shared heartbeat recycling pool (see net::MessagePool).
+  /// Heartbeat recycling pool shared the same way (see net::MessagePool).
   net::MessagePool<HeartbeatMessage>* heartbeat_pool = nullptr;
 
   // --- fault-injection recovery protocol (nullable: with no Recovery block
@@ -114,9 +113,8 @@ struct PnaStats {
 
 class PnaXlet final : public dtv::Xlet, public dtv::CarouselAware {
  public:
-  /// `environment` is shared by reference across the whole population and
-  /// must outlive the Xlet (it is deployment-wide state: one copy per
-  /// system, not one per agent).
+  /// `environment` is shared by reference across the agents of one shard
+  /// and must outlive the Xlet (one copy per shard, not one per agent).
   PnaXlet(const PnaEnvironment& environment, std::uint64_t seed);
   ~PnaXlet() override;
 
@@ -162,12 +160,9 @@ class PnaXlet final : public dtv::Xlet, public dtv::CarouselAware {
 
  private:
   void acquire_config();
-  void handle_control(const ControlMessage& message);
-  /// Fast-path entry: verification resolves against the shared
-  /// canonical bytes/digest (memoized when a VerifyCache is attached).
+  /// Verification resolves against the broadcast's shared canonical
+  /// bytes and digest, memoized in the environment's VerifyCache.
   void handle_control(const PreparedControl& prepared);
-  /// Post-verification dispatch common to both entry points.
-  void dispatch_control(const ControlMessage& message);
   void handle_wakeup(const ControlMessage& message);
   void handle_reset(const ControlMessage& message);
   void join_instance(const ControlMessage& message);
@@ -193,8 +188,8 @@ class PnaXlet final : public dtv::Xlet, public dtv::CarouselAware {
   obs::TraceContext trace_emit(obs::TraceEventKind kind,
                                obs::TraceContext parent, std::uint64_t arg);
 
-  /// Deployment-wide environment, shared (not copied) population-wide: at
-  /// 1M agents an embedded copy is ~100 MB of identical bytes.
+  /// Shard-wide environment, shared (not copied) by its agents: at 1M
+  /// agents an embedded copy is ~100 MB of identical bytes.
   const PnaEnvironment* env_;
   util::Random rng_;
   dtv::XletContext* context_ = nullptr;

@@ -36,13 +36,7 @@ void SystemConfig::validate() const {
   if (window < sim::SimTime::zero()) {
     throw std::invalid_argument("SystemConfig: window must be >= 0");
   }
-  // Control-loop policy knobs, with any deprecated ControllerOptions
-  // aliases applied on top of `control` exactly as the Controller will.
-  {
-    ControllerOptions effective = controller;
-    effective.policy = control;
-    effective.effective_policy().validate();
-  }
+  control.validate();
   if (controller.default_heartbeat <= sim::SimTime::zero()) {
     throw std::invalid_argument(
         "SystemConfig: controller.default_heartbeat must be > 0");
@@ -148,7 +142,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   }
 
   network_ = std::make_unique<net::Network>(*simulation_);
-  if (K > 1) network_->set_sharded(sharded_.get());
+  network_->set_sharded(sharded_.get());
   // Tag the heartbeat stream for conservation accounting: net (and the
   // fault injector below) stay ignorant of core's message taxonomy and
   // receive the raw tag value; the health auditor balances emitted vs
@@ -190,7 +184,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     if (config_.section_loss > 0.0) {
       dtv->set_section_loss(config_.section_loss);
     }
-    if (K > 1) dtv->set_sharded(sharded_.get());
+    dtv->set_sharded(sharded_.get());
     channels_.push_back(std::move(dtv));
   }
 
@@ -245,7 +239,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
                          ? config_.heartbeat.expiry
                          : sim::SimTime::from_seconds(
                                config_.controller.default_heartbeat.seconds() *
-                               copts.effective_policy().stale_factor);
+                               config_.control.stale_factor);
     }
     // Paced mode de-synchronizes the tier's flush boundaries with a
     // dedicated named stream (enabling it never perturbs other draws).
@@ -272,14 +266,12 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
       // Aggregator `a` lives on shard a % K; its endpoint registers there
       // so the heartbeats it hears (all from receivers homed on it, placed
       // on the same shard below) never cross a shard boundary.
-      if (K > 1) {
-        network_->set_register_shard(static_cast<std::uint32_t>(a % K));
-      }
+      network_->set_register_shard(static_cast<std::uint32_t>(a % K));
       aopts.origin = static_cast<std::uint32_t>(a);
       aopts.flush_phase = draw_phase();
       aggregators_.push_back(std::make_unique<HeartbeatAggregator>(
-          K > 1 ? sharded_->shard(a % K) : *simulation_, *network_,
-          controller_->node_id(), tier_link, aopts));
+          sharded_->shard(a % K), *network_, controller_->node_id(),
+          tier_link, aopts));
       // Agents pick aggregators[pna_id % k], so aggregator `a` only ever
       // hears ids congruent to a (mod k) — declare that shard so its
       // window is a dense vector instead of a hash map.
@@ -290,7 +282,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
       }
       aggregator_nodes.push_back(aggregators_.back()->node_id());
     }
-    if (K > 1) network_->set_register_shard(0);
+    network_->set_register_shard(0);
     controller_->set_aggregators(std::move(aggregator_nodes));
   }
 
@@ -331,61 +323,47 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     backend_->set_verifier(verifier_.get());
   }
 
-  pna_env_.content_store = store_.get();
-  pna_env_.trusted_key = key_;
-  pna_env_.task_poll_interval = config_.task_poll_interval;
+  // Agent-side state, one block per shard: the environments share the
+  // read-only plumbing (store, key, poll interval, pacing) and point each
+  // shard's agents at that shard's mutable cells.
+  PnaEnvironment env;
+  env.content_store = store_.get();
+  env.trusted_key = key_;
+  env.task_poll_interval = config_.task_poll_interval;
   if (config_.heartbeat.paced) {
     sim::SimTime pace_window = config_.heartbeat.pace_window;
     if (pace_window <= sim::SimTime::zero()) {
       pace_window = std::min(config_.aggregator_report_interval,
                              config_.controller.default_heartbeat);
     }
-    pna_env_.heartbeat_pace_window = pace_window;
-    pna_env_.heartbeat_phase_seed =
+    env.heartbeat_pace_window = pace_window;
+    env.heartbeat_phase_seed =
         util::stream_seed(config_.seed, "heartbeat.pace.phase");
   }
-  if (config_.fanout_fast_path && K == 1) {
-    verify_cache_ = std::make_unique<broadcast::VerifyCache>();
-    // The ring must outlast the in-flight window or acquires find their
-    // slot still referenced and fall back to allocation: heartbeats live
-    // ~tens of milliseconds (delivery + aggregator handling), so size the
-    // lap time well past that at population beat rates.
-    const std::size_t pool_slots =
-        std::clamp<std::size_t>(config_.receivers / 8, 4096, 1u << 17);
-    heartbeat_pool_ =
-        std::make_unique<net::MessagePool<HeartbeatMessage>>(pool_slots);
-    pna_env_.verify_cache = verify_cache_.get();
-    pna_env_.heartbeat_pool = heartbeat_pool_.get();
-  }
-
-  if (K > 1) {
-    // Per-shard agent-side state: every hot-path cell an agent touches is
-    // private to its shard's window thread. The base pna_env_ keeps the
-    // shared read-only plumbing (store, key, poll interval); each shard's
-    // copy overrides the mutable pieces.
-    shard_pna_counters_.resize(K);
-    shard_acquire_latency_.assign(K, obs::LogHistogram(1e-3));
-    shard_recoveries_.resize(K);
-    util::SplitMix64 loss_seeds(config_.seed ^ 0x10555EEDull);
-    shard_loss_rngs_.reserve(K);
-    shard_envs_.reserve(K);
-    for (std::size_t s = 0; s < K; ++s) {
-      shard_loss_rngs_.emplace_back(loss_seeds.next());
-      if (config_.fanout_fast_path) {
-        shard_verify_caches_.push_back(
-            std::make_unique<broadcast::VerifyCache>());
-        shard_heartbeat_pools_.push_back(
-            std::make_unique<net::MessagePool<HeartbeatMessage>>(
-                std::clamp<std::size_t>(config_.receivers / K / 8, 4096,
-                                        1u << 17)));
-      }
-      PnaEnvironment env = pna_env_;
-      if (config_.fanout_fast_path) {
-        env.verify_cache = shard_verify_caches_[s].get();
-        env.heartbeat_pool = shard_heartbeat_pools_[s].get();
-      }
-      shard_envs_.push_back(env);
+  // The pool ring must outlast the in-flight window or acquires find their
+  // slot still referenced and fall back to allocation: heartbeats live
+  // ~tens of milliseconds (delivery + aggregator handling), so size the
+  // lap time well past that at population beat rates.
+  const std::size_t pool_slots =
+      std::clamp<std::size_t>(config_.receivers / K / 8, 4096, 1u << 17);
+  util::SplitMix64 loss_seeds(config_.seed ^ 0x10555EEDull);
+  agent_shards_.reserve(K);
+  for (std::size_t s = 0; s < K; ++s) {
+    auto shard = std::make_unique<AgentShard>(pool_slots, loss_seeds.next());
+    shard->env = env;
+    shard->env.counters = &shard->counters;
+    shard->env.acquire_latency = &shard->acquire_latency;
+    shard->env.verify_cache = &shard->verify_cache;
+    shard->env.heartbeat_pool = &shard->heartbeat_pool;
+    if (config_.obs.trace) {
+      // Strided id streams (offset s, stride K) keep event ids disjoint,
+      // so obs::merge_events() yields one chronological export.
+      shard->recorder =
+          std::make_unique<obs::FlightRecorder>(config_.obs.trace_capacity);
+      shard->recorder->set_id_stream(s, K);
+      shard->env.recorder = shard->recorder.get();
     }
+    agent_shards_.push_back(std::move(shard));
   }
 
   net::LinkSpec stb_link{config_.delta, config_.delta,
@@ -402,36 +380,33 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     // node id (A + 2 + i), so it homes on aggregator (2 + i) % A, which
     // lives on shard ((2 + i) % A) % K — the per-heartbeat hop never
     // crosses a shard boundary. With no aggregation tier, round-robin.
-    const std::size_t s = K == 1 ? 0 : (A > 0 ? ((2 + i) % A) % K : i % K);
-    if (K > 1) network_->set_register_shard(static_cast<std::uint32_t>(s));
+    const std::size_t s = A > 0 ? ((2 + i) % A) % K : i % K;
+    network_->set_register_shard(static_cast<std::uint32_t>(s));
     auto receiver = std::make_unique<dtv::Receiver>(
-        K > 1 ? sharded_->shard(s) : *simulation_, *network_,
-        config_.profile, stb_link);
+        sharded_->shard(s), *network_, config_.profile, stb_link);
     receiver->set_power_mode(config_.initial_power);
     const std::uint64_t pna_seed = rng.engine().next();
-    const PnaEnvironment* env = K > 1 ? &shard_envs_[s] : &pna_env_;
+    const PnaEnvironment* agent_env = &agent_shards_[s]->env;
     receiver->application_manager().register_factory(
-        "oddci-pna", [env, pna_seed] {
-          return std::make_unique<PnaXlet>(*env, pna_seed);
+        kPnaApplicationName, [agent_env, pna_seed] {
+          return std::make_unique<PnaXlet>(*agent_env, pna_seed);
         });
-    if (K > 1) {
-      receiver->set_shard_context(sharded_.get(),
-                                  static_cast<std::uint32_t>(s),
-                                  static_cast<broadcast::ListenerId>(i + 1),
-                                  &shard_loss_rngs_[s]);
-    }
+    // Carousel-loss fork: at K = 1 the receiver is not shard-routed and
+    // draws section losses from the channel's own stream, as it did before
+    // sharding existed; the shard stream serves K > 1 only.
+    receiver->set_shard_context(sharded_.get(), static_cast<std::uint32_t>(s),
+                                static_cast<broadcast::ListenerId>(i + 1),
+                                &agent_shards_[s]->loss_rng);
     if (rng.uniform() < config_.tuned_fraction) {
       receiver->tune(*channels_[i % channels_.size()]);
     }
+    // The construction-time tune above ran direct (single-threaded); from
+    // here on, an off-control-shard receiver routes (un)tunes through the
+    // mailboxes.
+    receiver->activate_shard_routing();
     receivers_.push_back(std::move(receiver));
   }
-  if (K > 1) {
-    network_->set_register_shard(0);
-    // Construction-time tunes above ran direct (single-threaded); from
-    // here on, off-control-shard receivers route (un)tunes through the
-    // mailboxes.
-    for (auto& r : receivers_) r->activate_shard_routing();
-  }
+  network_->set_register_shard(0);
 
   // Adversarial profile table: built after the receivers so it can key
   // collusion on their aggregator regions (node id % A). The table is a
@@ -462,12 +437,13 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     byz_block_.table = byz_table_.get();
     byz_block_.base =
         receivers_.empty() ? 0 : receivers_.front()->node_id();
-    pna_env_.byzantine = &byz_block_;
-    for (auto& env : shard_envs_) env.byzantine = &byz_block_;
+    for (auto& shard : agent_shards_) shard->env.byzantine = &byz_block_;
   }
 
   if (config_.churn) {
     const std::uint64_t churn_seed = rng.engine().next();
+    // Churn-seed fork: K = 1 keeps the single process seeded straight from
+    // churn_seed (its pre-sharding trajectory); K > 1 splits per shard.
     if (K == 1) {
       std::vector<dtv::Receiver*> raw;
       raw.reserve(receivers_.size());
@@ -499,7 +475,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
                                     : (config_.seed ^ 0x0DDC1FA17ull);
     injector_ = std::make_unique<fault::FaultInjector>(*simulation_,
                                                        config_.fault, fseed);
-    if (K > 1) injector_->set_sharded(sharded_.get());
+    injector_->set_sharded(sharded_.get());
     injector_->set_tracked_tag(static_cast<int>(kTagHeartbeat));
     network_->set_interposer(injector_.get());
     injector_->set_controller_hooks([this] { controller_->crash(); },
@@ -518,13 +494,11 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     injector_->set_control_corruptor(
         [this] { return controller_->corrupt_on_air_control(); },
         [this] { controller_->restore_on_air_control(); });
-    pna_recovery_.result_retry_limit = config_.fault.result_retry_limit;
-    pna_recovery_.result_retry_base = config_.fault.result_retry_base;
-    pna_recovery_.request_watchdog = config_.fault.request_watchdog;
-    pna_env_.recovery = &pna_recovery_;
-    for (std::size_t s = 0; s < shard_envs_.size(); ++s) {
-      shard_recoveries_[s] = pna_recovery_;
-      shard_envs_[s].recovery = &shard_recoveries_[s];
+    for (auto& shard : agent_shards_) {
+      shard->recovery.result_retry_limit = config_.fault.result_retry_limit;
+      shard->recovery.result_retry_base = config_.fault.result_retry_base;
+      shard->recovery.request_watchdog = config_.fault.request_watchdog;
+      shard->env.recovery = &shard->recovery;
     }
   }
 
@@ -587,232 +561,94 @@ void OddciSystem::wire_observability() {
     });
   }
 
-  // Shared blocks: owned here, incremented by the population / the media.
-  // Under a sharded kernel each shard increments its own cells and the
-  // registry exports the merged sum lazily at snapshot time — same names,
-  // no atomic on the hot path.
-  if (K == 1) {
-    pna_counters_.link(*registry_);
-    registry_->link_histogram("pna.acquire_latency_seconds",
-                              pna_acquire_latency_);
-    pna_env_.counters = &pna_counters_;
-    pna_env_.acquire_latency = &pna_acquire_latency_;
-  } else {
-    const auto merged = [this](obs::Counter obs::PnaCounters::*cell) {
-      return [this, cell]() -> std::uint64_t {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) sum += (c.*cell).value();
-        return sum;
-      };
-    };
-    registry_->link_counter_fn(
-        "pna.control_messages_seen",
-        merged(&obs::PnaCounters::control_messages_seen));
-    registry_->link_counter_fn("pna.signature_failures",
-                               merged(&obs::PnaCounters::signature_failures));
-    registry_->link_counter_fn(
-        "pna.wakeups_dropped_busy",
-        merged(&obs::PnaCounters::wakeups_dropped_busy));
-    registry_->link_counter_fn(
-        "pna.wakeups_rejected_requirements",
-        merged(&obs::PnaCounters::wakeups_rejected_requirements));
-    registry_->link_counter_fn(
-        "pna.wakeups_dropped_probability",
-        merged(&obs::PnaCounters::wakeups_dropped_probability));
-    registry_->link_counter_fn("pna.joins", merged(&obs::PnaCounters::joins));
-    registry_->link_counter_fn("pna.resets",
-                               merged(&obs::PnaCounters::resets));
-    registry_->link_counter_fn("pna.tasks_completed",
-                               merged(&obs::PnaCounters::tasks_completed));
-    registry_->link_counter_fn("pna.heartbeats_sent",
-                               merged(&obs::PnaCounters::heartbeats_sent));
-    std::vector<const obs::LogHistogram*> hists;
-    hists.reserve(K);
-    for (const auto& h : shard_acquire_latency_) hists.push_back(&h);
-    registry_->link_histogram_set("pna.acquire_latency_seconds",
-                                  std::move(hists));
-    for (std::size_t s = 0; s < K; ++s) {
-      shard_envs_[s].counters = &shard_pna_counters_[s];
-      shard_envs_[s].acquire_latency = &shard_acquire_latency_[s];
-    }
+  // Agent-side cells: each shard's agents increment their own block and
+  // the registry exports every name once, summed over the blocks at
+  // snapshot time — no atomic on the hot path.
+  std::vector<const obs::PnaCounters*> counters;
+  std::vector<const obs::LogHistogram*> acquire;
+  std::vector<const obs::Counter*> hits, misses, reused, allocated, pooled,
+      result_retries, request_retries;
+  for (const auto& shard : agent_shards_) {
+    counters.push_back(&shard->counters);
+    acquire.push_back(&shard->acquire_latency);
+    hits.push_back(&shard->verify_cache.hits());
+    misses.push_back(&shard->verify_cache.misses());
+    reused.push_back(&shard->heartbeat_pool.reused());
+    allocated.push_back(&shard->heartbeat_pool.allocated());
+    pooled.push_back(&shard->heartbeat_pool.pooled_bytes());
+    result_retries.push_back(&shard->recovery.result_retries);
+    request_retries.push_back(&shard->recovery.request_retries);
   }
-  // Pacing effectiveness counter — registered only when pacing is on (no
-  // phantom zero cell in unpaced snapshots).
-  if (config_.heartbeat.paced) {
-    if (K == 1) {
-      pna_counters_.link_paced(*registry_);
-    } else {
-      registry_->link_counter_fn("pna.heartbeats_paced", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) {
-          sum += c.heartbeats_paced.value();
-        }
-        return sum;
-      });
-    }
-  }
-  // Adversarial-behaviour counters — registered only when the profile
-  // table seeded at least one adversary (no phantom zero cells otherwise).
-  if (byz_table_ && byz_table_->active()) {
-    if (K == 1) {
-      pna_counters_.link_byzantine(*registry_);
-    } else {
-      registry_->link_counter_fn("pna.results_forged", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) {
-          sum += c.results_forged.value();
-        }
-        return sum;
-      });
-      registry_->link_counter_fn("pna.results_freeridden", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) {
-          sum += c.results_freeridden.value();
-        }
-        return sum;
-      });
-    }
-  }
+  // The pacing counter and the adversarial-behaviour counters register only
+  // when pacing is on / the profile table seeded at least one adversary (no
+  // phantom zero cells otherwise).
+  obs::PnaCounters::link(*registry_, counters, config_.heartbeat.paced,
+                         byz_table_ && byz_table_->active());
+  registry_->link_histogram_set("pna.acquire_latency_seconds",
+                                std::move(acquire));
+  registry_->link_counter_sum("verify_cache.hit", std::move(hits));
+  registry_->link_counter_sum("verify_cache.miss", std::move(misses));
+  registry_->link_probe("verify_cache.size", [this] {
+    std::size_t sum = 0;
+    for (const auto& shard : agent_shards_) sum += shard->verify_cache.size();
+    return static_cast<double>(sum);
+  });
+  registry_->link_counter_sum("heartbeat.pool_reused", std::move(reused));
+  registry_->link_counter_sum("heartbeat.pool_allocated",
+                              std::move(allocated));
+  registry_->link_counter_sum("heartbeat.pooled_bytes", std::move(pooled));
+  registry_->link_counter("wire.writer_reuse", store_->writer_reuses());
   broadcast_counters_.link(*registry_);
   for (auto& channel : channels_) {
     channel->set_counters(&broadcast_counters_);
   }
 
-  // Fast-path effectiveness counters — registered only when the fast path
-  // exists, so fast-path-off snapshots carry no phantom zero cells.
-  if (verify_cache_) verify_cache_->link_metrics(*registry_);
-  if (heartbeat_pool_) heartbeat_pool_->link_metrics(*registry_, "heartbeat");
-  if (K > 1 && config_.fanout_fast_path) {
-    registry_->link_counter_fn("verify_cache.hit", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& c : shard_verify_caches_) sum += c->hits().value();
-      return sum;
-    });
-    registry_->link_counter_fn("verify_cache.miss", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& c : shard_verify_caches_) sum += c->misses().value();
-      return sum;
-    });
-    registry_->link_probe("verify_cache.size", [this] {
-      std::size_t sum = 0;
-      for (const auto& c : shard_verify_caches_) sum += c->size();
-      return static_cast<double>(sum);
-    });
-    registry_->link_counter_fn("heartbeat.pool_reused", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& p : shard_heartbeat_pools_) sum += p->reused().value();
-      return sum;
-    });
-    registry_->link_counter_fn("heartbeat.pool_allocated", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& p : shard_heartbeat_pools_) {
-        sum += p->allocated().value();
-      }
-      return sum;
-    });
-    registry_->link_counter_fn("heartbeat.pooled_bytes", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& p : shard_heartbeat_pools_) {
-        sum += p->pooled_bytes().value();
-      }
-      return sum;
-    });
-  }
-  if (config_.fanout_fast_path) {
-    registry_->link_counter("wire.writer_reuse", store_->writer_reuses());
-  }
-
   // Fault/recovery cells — only when fault injection is on, so fault-off
   // snapshots are byte-identical to a build without the subsystem.
-  if (injector_) injector_->link_metrics(*registry_);
-  if (pna_env_.recovery != nullptr) {
-    if (K == 1) {
-      registry_->link_counter("recovery.result_retries",
-                              pna_recovery_.result_retries);
-      registry_->link_counter("recovery.request_retries",
-                              pna_recovery_.request_retries);
-    } else {
-      registry_->link_counter_fn("recovery.result_retries", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& r : shard_recoveries_) {
-          sum += r.result_retries.value();
-        }
-        return sum;
-      });
-      registry_->link_counter_fn("recovery.request_retries", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& r : shard_recoveries_) {
-          sum += r.request_retries.value();
-        }
-        return sum;
-      });
-    }
+  if (injector_) {
+    injector_->link_metrics(*registry_);
+    registry_->link_counter_sum("recovery.result_retries",
+                                std::move(result_retries));
+    registry_->link_counter_sum("recovery.request_retries",
+                                std::move(request_retries));
   }
 
-  if (config_.obs.trace && K == 1) {
-    // Causal flight recorder: one ring shared by every component, so the
-    // export interleaves all tracks in recording order.
-    recorder_ = std::make_unique<obs::FlightRecorder>(
-        config_.obs.trace_capacity);
-    provider_->set_flight_recorder(recorder_.get());
-    controller_->set_flight_recorder(recorder_.get());
-    // Engines gate their own emission (the static default never emits), so
-    // attaching the recorder costs nothing by default.
-    controller_->engine().set_flight_recorder(recorder_.get());
-    backend_->set_flight_recorder(recorder_.get());
-    if (verifier_) verifier_->set_flight_recorder(recorder_.get());
-    for (auto& aggregator : aggregators_) {
-      aggregator->set_flight_recorder(recorder_.get());
-    }
-    network_->set_recorder(recorder_.get());
-    for (auto& channel : channels_) channel->set_recorder(recorder_.get());
-    for (auto& receiver : receivers_) receiver->set_recorder(recorder_.get());
-    pna_env_.recorder = recorder_.get();
-    if (injector_) injector_->set_recorder(recorder_.get());
-    // Protocol-trace log lines share the recorder's clock: while this
-    // system is tracing, every Logger line carries t=<sim seconds>.
-    util::Logger::instance().set_clock(
-        [this] { return simulation_->now().seconds(); });
-  } else if (config_.obs.trace) {
-    // One ring per shard, written only by that shard's window thread.
-    // Strided id streams (offset s, stride K) keep event ids disjoint, so
-    // obs::merge_events() yields one chronological population-wide export.
-    shard_recorders_.reserve(K);
-    for (std::size_t s = 0; s < K; ++s) {
-      auto rec =
-          std::make_unique<obs::FlightRecorder>(config_.obs.trace_capacity);
-      rec->set_id_stream(s, K);
-      shard_recorders_.push_back(std::move(rec));
-    }
-    obs::FlightRecorder* control_rec = shard_recorders_.front().get();
+  if (config_.obs.trace) {
+    // One ring per shard, written only by that shard's window thread; the
+    // control shard's ring also holds every control-plane event.
+    obs::FlightRecorder* control_rec = agent_shards_.front()->recorder.get();
     provider_->set_flight_recorder(control_rec);
     controller_->set_flight_recorder(control_rec);
-    // Engine decisions all happen on the control shard — its ring is the
-    // right home for control.* events at any K.
+    // Engines gate their own emission (the static default never emits), so
+    // attaching the recorder costs nothing by default.
     controller_->engine().set_flight_recorder(control_rec);
     backend_->set_flight_recorder(control_rec);
     // Quorum decisions happen in Backend handlers on the control shard.
     if (verifier_) verifier_->set_flight_recorder(control_rec);
     for (std::size_t a = 0; a < aggregators_.size(); ++a) {
-      aggregators_[a]->set_flight_recorder(shard_recorders_[a % K].get());
+      aggregators_[a]->set_flight_recorder(
+          agent_shards_[a % K]->recorder.get());
     }
     network_->set_recorder(control_rec);
     for (std::size_t s = 0; s < K; ++s) {
-      network_->set_shard_recorder(s, shard_recorders_[s].get());
+      network_->set_shard_recorder(s, agent_shards_[s]->recorder.get());
     }
     for (auto& channel : channels_) channel->set_recorder(control_rec);
     for (auto& receiver : receivers_) {
-      receiver->set_recorder(shard_recorders_[receiver->shard()].get());
-    }
-    for (std::size_t s = 0; s < K; ++s) {
-      shard_envs_[s].recorder = shard_recorders_[s].get();
+      receiver->set_recorder(agent_shards_[receiver->shard()]->recorder.get());
     }
     if (injector_) {
       injector_->set_recorder(control_rec);
-      for (std::size_t s = 0; s < K; ++s) {
-        injector_->set_shard_recorder(s, shard_recorders_[s].get());
+      // FaultInjector wire-shard split: only K > 1 draws wire verdicts per
+      // shard; K = 1 keeps its single pre-sharding stream and ring.
+      if (K > 1) {
+        for (std::size_t s = 0; s < K; ++s) {
+          injector_->set_shard_recorder(s, agent_shards_[s]->recorder.get());
+        }
       }
     }
+    // Protocol-trace log lines share the recorder's clock: while this
+    // system is tracing, every Logger line carries t=<sim seconds>.
     util::Logger::instance().set_clock(
         [this] { return simulation_->now().seconds(); });
   }
@@ -824,7 +660,7 @@ void OddciSystem::wire_observability() {
   sopts.interval = config_.obs.sample_interval;
   sopts.max_points = config_.obs.max_series_points;
   sampler_ = std::make_unique<obs::Sampler>(*simulation_, *registry_, sopts);
-  if (K > 1) sampler_->set_sharded(sharded_.get());
+  sampler_->set_sharded(sharded_.get());
   sampler_->add_gauge_series("series.instance_size", [this] {
     return static_cast<double>(controller_->total_member_count());
   });
@@ -837,18 +673,8 @@ void OddciSystem::wire_observability() {
   sampler_->add_gauge_series("series.carousel_files", [this] {
     return static_cast<double>(channels_.front()->current().files.size());
   });
-  if (K == 1) {
-    sampler_->add_rate_series("series.heartbeat_rate",
-                              pna_counters_.heartbeats_sent);
-  } else {
-    sampler_->add_rate_series_fn("series.heartbeat_rate", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& c : shard_pna_counters_) {
-        sum += c.heartbeats_sent.value();
-      }
-      return sum;
-    });
-  }
+  sampler_->add_rate_series_fn("series.heartbeat_rate",
+                               [this] { return heartbeats_emitted(); });
   // Conservation auditor, sampled at the same parked tick points the
   // series probes use; run_job folds the final verdict into RunResult.
   health_ = std::make_unique<obs::HealthAuditor>(
@@ -904,18 +730,12 @@ obs::HealthLedger OddciSystem::health_ledger() const {
     ledger.heartbeats_lost = faults.tracked_lost;
     ledger.heartbeats_duplicated = faults.tracked_duplicated;
   }
-  const std::size_t K = sharded_->shard_count();
-  if (K == 1) {
-    ledger.heartbeats_emitted = pna_counters_.heartbeats_sent.value();
-  } else {
-    for (const auto& c : shard_pna_counters_) {
-      ledger.heartbeats_emitted += c.heartbeats_sent.value();
-    }
-  }
+  ledger.heartbeats_emitted = heartbeats_emitted();
   ledger.heartbeats_received = controller_->stats().heartbeats_received;
   for (const auto& aggregator : aggregators_) {
     ledger.heartbeats_received += aggregator->stats().heartbeats_received;
   }
+  const std::size_t K = sharded_->shard_count();
   ledger.shards.reserve(K);
   for (std::size_t s = 0; s < K; ++s) {
     const sim::Simulation& shard = sharded_->shard(s);
@@ -926,21 +746,14 @@ obs::HealthLedger OddciSystem::health_ledger() const {
     events.pending = shard.pending_events();
     ledger.shards.push_back(events);
   }
-  // Pool balance only holds on the fan-out fast path, where every emitted
-  // heartbeat goes through exactly one pool acquire.
-  if (heartbeat_pool_) {
-    ledger.pool_active = true;
-    ledger.pool_acquired = heartbeat_pool_->reused().value() +
-                           heartbeat_pool_->allocated().value();
-    ledger.pool_expected = ledger.heartbeats_emitted;
-  } else if (!shard_heartbeat_pools_.empty()) {
-    ledger.pool_active = true;
-    for (const auto& pool : shard_heartbeat_pools_) {
-      ledger.pool_acquired +=
-          pool->reused().value() + pool->allocated().value();
-    }
-    ledger.pool_expected = ledger.heartbeats_emitted;
+  // Pool balance: every emitted heartbeat goes through exactly one pool
+  // acquire.
+  ledger.pool_active = true;
+  for (const auto& shard : agent_shards_) {
+    ledger.pool_acquired += shard->heartbeat_pool.reused().value() +
+                            shard->heartbeat_pool.allocated().value();
   }
+  ledger.pool_expected = ledger.heartbeats_emitted;
   if (verifier_) {
     const Verifier::Stats v = verifier_->stats();
     ledger.verify_active = true;
@@ -989,17 +802,23 @@ obs::HealthLedger OddciSystem::health_ledger() const {
 OddciSystem::~OddciSystem() {
   // The logger clock captures this system's simulation; remove it before
   // the simulation goes away.
-  if (recorder_ || !shard_recorders_.empty()) {
-    util::Logger::instance().clear_clock();
-  }
+  if (config_.obs.trace) util::Logger::instance().clear_clock();
 }
 
 std::vector<const obs::FlightRecorder*> OddciSystem::flight_recorders()
     const {
   std::vector<const obs::FlightRecorder*> out;
-  if (recorder_) out.push_back(recorder_.get());
-  for (const auto& rec : shard_recorders_) out.push_back(rec.get());
+  if (!config_.obs.trace) return out;
+  for (const auto& shard : agent_shards_) out.push_back(shard->recorder.get());
   return out;
+}
+
+std::uint64_t OddciSystem::heartbeats_emitted() const {
+  std::uint64_t sum = 0;
+  for (const auto& shard : agent_shards_) {
+    sum += shard->counters.heartbeats_sent.value();
+  }
+  return sum;
 }
 
 bool OddciSystem::apply_pna_fault(std::uint64_t pick, bool hang,
@@ -1013,8 +832,7 @@ bool OddciSystem::apply_pna_fault(std::uint64_t pick, bool hang,
   for (std::size_t k = 0; k < n; ++k) {
     dtv::Receiver& receiver = *receivers_[(pick + k) % n];
     if (!receiver.powered()) continue;
-    auto* xlet =
-        receiver.application_manager().find(config_.controller.pna_application_id);
+    auto* xlet = receiver.application_manager().find(kPnaApplicationId);
     auto* pna = dynamic_cast<PnaXlet*>(xlet);
     if (pna == nullptr) continue;
     if (pna->state() == PnaState::kBusy) {
@@ -1033,7 +851,7 @@ std::size_t OddciSystem::busy_pna_count() const {
     if (!receiver->powered()) continue;
     auto& apps =
         const_cast<dtv::Receiver&>(*receiver).application_manager();
-    if (auto* xlet = apps.find(0x4F44)) {
+    if (auto* xlet = apps.find(kPnaApplicationId)) {
       auto* pna = dynamic_cast<PnaXlet*>(xlet);
       if (pna != nullptr && pna->state() == PnaState::kBusy) ++busy;
     }

@@ -67,12 +67,10 @@ struct SystemConfig {
   /// the carousel).
   double tuned_fraction = 1.0;
 
-  /// Control-plane knobs, passed to the Controller verbatim. This is the
-  /// single home for the heartbeat cadence (`controller.default_heartbeat`),
-  /// the maintenance-loop interval (`controller.monitor_interval`), the
-  /// wakeup overshoot margin (`controller.overshoot_margin`) and the PNA
-  /// Xlet size (`controller.pna_xlet_size`) — previously duplicated as
-  /// top-level scalars.
+  /// Control-plane knobs, passed to the Controller verbatim: the heartbeat
+  /// cadence (`controller.default_heartbeat`) and the PNA Xlet size
+  /// (`controller.pna_xlet_size`). The maintenance-loop interval, staleness
+  /// factor and wakeup overshoot margin live in `control` below.
   ControllerOptions controller;
   /// Control-loop policy: which DecisionEngine drives wakeup probability,
   /// trimming and Phi-driven job admission, plus its knobs (see
@@ -164,11 +162,10 @@ struct SystemConfig {
 
   /// Broadcast fan-out fast path: population-shared decoded control
   /// messages with digest-memoized signature verification (one keyed hash
-  /// per broadcast instead of one per receiver) and pooled heartbeat
-  /// messages (zero steady-state allocation). Off = every agent decodes
-  /// and verifies independently — the pre-fast-path behaviour, kept as
-  /// the A/B baseline for benches and byte-identical determinism tests.
-  bool fanout_fast_path = true;
+  /// per broadcast and shard instead of one per receiver) and pooled
+  /// heartbeat messages (zero steady-state allocation). It is the only
+  /// agent path; the constant remains for provenance reports.
+  static constexpr bool fanout_fast_path = true;
 
   /// Observability. Instrumentation counters are always live (they are
   /// plain increments); this controls the registry/sampler/tracer harness.
@@ -310,12 +307,10 @@ class OddciSystem {
   /// Under a sharded kernel this is shard 0's ring (control-plane events);
   /// use flight_recorders() for the full per-shard set.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() {
-    if (recorder_) return recorder_.get();
-    return shard_recorders_.empty() ? nullptr : shard_recorders_.front().get();
+    return agent_shards_.front()->recorder.get();
   }
   [[nodiscard]] const obs::FlightRecorder* flight_recorder() const {
-    if (recorder_) return recorder_.get();
-    return shard_recorders_.empty() ? nullptr : shard_recorders_.front().get();
+    return agent_shards_.front()->recorder.get();
   }
   /// Every live recorder ring, shard order — merge with
   /// obs::merge_events() for a population-wide chronological export.
@@ -336,16 +331,6 @@ class OddciSystem {
   /// Heartbeat/pool balances need the obs counter wiring, so call only
   /// with SystemConfig::obs.enabled; the auditor and tests use this.
   [[nodiscard]] obs::HealthLedger health_ledger() const;
-
-  /// Fan-out fast-path components; nullptr when
-  /// SystemConfig::fanout_fast_path is false.
-  [[nodiscard]] const broadcast::VerifyCache* verify_cache() const {
-    return verify_cache_.get();
-  }
-  [[nodiscard]] const net::MessagePool<HeartbeatMessage>* heartbeat_pool()
-      const {
-    return heartbeat_pool_.get();
-  }
 
   /// Fault injector driving the configured fault plan; nullptr when
   /// SystemConfig::fault.enabled is false.
@@ -381,6 +366,29 @@ class OddciSystem {
   /// FaultInjector's PNA-fault callback: pick a victim agent (preferring a
   /// busy one so crashes hit in-flight tasks) and crash or hang it.
   bool apply_pna_fault(std::uint64_t pick, bool hang, sim::SimTime duration);
+  /// Heartbeats the agents have emitted, summed over the shards.
+  [[nodiscard]] std::uint64_t heartbeats_emitted() const;
+
+  /// Everything the agents homed on one shard write on the hot path:
+  /// counters, acquire histogram, verify cache, heartbeat pool, recovery
+  /// block, flight-recorder ring and carousel-loss stream, plus the
+  /// environment that points the shard's agents at them. One block per
+  /// shard at every K, so no two window threads ever share a mutable cell;
+  /// the registry exports each cell once, summed over the blocks.
+  struct AgentShard {
+    AgentShard(std::size_t pool_slots, std::uint64_t loss_seed)
+        : heartbeat_pool(pool_slots), loss_rng(loss_seed) {}
+
+    obs::PnaCounters counters;
+    obs::LogHistogram acquire_latency{1e-3};
+    broadcast::VerifyCache verify_cache;
+    net::MessagePool<HeartbeatMessage> heartbeat_pool;
+    PnaEnvironment::Recovery recovery;
+    /// Null unless SystemConfig::obs.trace.
+    std::unique_ptr<obs::FlightRecorder> recorder;
+    util::Random loss_rng;
+    PnaEnvironment env;
+  };
 
   SystemConfig config_;
   std::unique_ptr<sim::ShardedSimulation> sharded_;
@@ -390,27 +398,9 @@ class OddciSystem {
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<broadcast::BroadcastMedium>> channels_;
   std::unique_ptr<ContentStore> store_;
-  /// Fast-path components (only with config_.fanout_fast_path); declared
-  /// before the receivers so they outlive every agent holding a pointer.
-  std::unique_ptr<broadcast::VerifyCache> verify_cache_;
-  std::unique_ptr<net::MessagePool<HeartbeatMessage>> heartbeat_pool_;
-  // --- per-shard state (shards > 1 only; empty otherwise) -------------------
-  // Each worker shard gets private instances of everything an agent touches
-  // on the hot path — counters, histograms, verify cache, heartbeat pool,
-  // recovery block, flight-recorder ring, loss RNG — so no two window
-  // threads ever share a mutable cell. All declared before receivers_:
-  // agents hold pointers into these for their whole life.
-  std::vector<obs::PnaCounters> shard_pna_counters_;
-  std::vector<obs::LogHistogram> shard_acquire_latency_;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> shard_recorders_;
-  std::vector<std::unique_ptr<broadcast::VerifyCache>> shard_verify_caches_;
-  std::vector<std::unique_ptr<net::MessagePool<HeartbeatMessage>>>
-      shard_heartbeat_pools_;
-  std::vector<PnaEnvironment::Recovery> shard_recoveries_;
-  std::vector<PnaEnvironment> shard_envs_;
-  /// Per-shard carousel section-loss streams (K > 1): the channel's own
-  /// stream only serves its shard-0 listeners.
-  std::vector<util::Random> shard_loss_rngs_;
+  /// One block per shard (size K, K >= 1). Declared before receivers_:
+  /// agents hold pointers into these for their whole life.
+  std::vector<std::unique_ptr<AgentShard>> agent_shards_;
   std::unique_ptr<Controller> controller_;
   /// Relay tier declared before the leaves: leaves hold its node ids.
   std::vector<std::unique_ptr<AggregatorRelay>> relays_;
@@ -428,10 +418,6 @@ class OddciSystem {
   std::unique_ptr<fault::ByzantineTable> byz_table_;
   PnaEnvironment::Byzantine byz_block_;
   std::vector<std::unique_ptr<dtv::Receiver>> receivers_;
-  PnaEnvironment pna_env_;
-  /// PNA-side recovery parameters + counters; pna_env_.recovery points
-  /// here when fault injection is enabled.
-  PnaEnvironment::Recovery pna_recovery_;
   std::unique_ptr<ChurnProcess> churn_;
   /// K > 1: one churn process per shard, each driving its shard's receivers
   /// on its shard's kernel (churn_ stays null).
@@ -441,16 +427,13 @@ class OddciSystem {
   // Observability harness (only when config_.obs.enabled). Declared after
   // the components it links so destruction detaches cleanly.
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::Sampler> sampler_;
   /// Wall-clock profiler (obs.profile) and conservation auditor
   /// (obs.enabled); both read-only with respect to the event trajectory.
   std::unique_ptr<obs::KernelProfiler> profiler_;
   std::unique_ptr<obs::HealthAuditor> health_;
-  obs::PnaCounters pna_counters_;
   obs::BroadcastCounters broadcast_counters_;
-  obs::LogHistogram pna_acquire_latency_{1e-3};
 };
 
 }  // namespace oddci::core

@@ -231,6 +231,15 @@ void MetricsRegistry::link_counter_fn(std::string_view name,
   counter_fns_.insert_or_assign(std::string(name), std::move(fn));
 }
 
+void MetricsRegistry::link_counter_sum(std::string_view name,
+                                       std::vector<const Counter*> cells) {
+  link_counter_fn(name, [cells = std::move(cells)] {
+    std::uint64_t sum = 0;
+    for (const Counter* cell : cells) sum += cell->value();
+    return sum;
+  });
+}
+
 void MetricsRegistry::link_histogram_set(
     std::string_view name, std::vector<const LogHistogram*> set) {
   histogram_sets_.insert_or_assign(std::string(name), std::move(set));
@@ -333,27 +342,31 @@ MetricsSnapshot MetricsRegistry::snapshot(double now_seconds) const {
 
 // --- shared instrument blocks ----------------------------------------------
 
-void PnaCounters::link(MetricsRegistry& registry) const {
-  registry.link_counter("pna.control_messages_seen", control_messages_seen);
-  registry.link_counter("pna.signature_failures", signature_failures);
-  registry.link_counter("pna.wakeups_dropped_busy", wakeups_dropped_busy);
-  registry.link_counter("pna.wakeups_rejected_requirements",
-                        wakeups_rejected_requirements);
-  registry.link_counter("pna.wakeups_dropped_probability",
-                        wakeups_dropped_probability);
-  registry.link_counter("pna.joins", joins);
-  registry.link_counter("pna.resets", resets);
-  registry.link_counter("pna.tasks_completed", tasks_completed);
-  registry.link_counter("pna.heartbeats_sent", heartbeats_sent);
-}
-
-void PnaCounters::link_paced(MetricsRegistry& registry) const {
-  registry.link_counter("pna.heartbeats_paced", heartbeats_paced);
-}
-
-void PnaCounters::link_byzantine(MetricsRegistry& registry) const {
-  registry.link_counter("pna.results_forged", results_forged);
-  registry.link_counter("pna.results_freeridden", results_freeridden);
+void PnaCounters::link(MetricsRegistry& registry,
+                       std::span<const PnaCounters* const> shards, bool paced,
+                       bool byzantine) {
+  const auto sum = [&](std::string_view name, Counter PnaCounters::*cell) {
+    std::vector<const Counter*> cells;
+    cells.reserve(shards.size());
+    for (const PnaCounters* block : shards) cells.push_back(&(block->*cell));
+    registry.link_counter_sum(name, std::move(cells));
+  };
+  sum("pna.control_messages_seen", &PnaCounters::control_messages_seen);
+  sum("pna.signature_failures", &PnaCounters::signature_failures);
+  sum("pna.wakeups_dropped_busy", &PnaCounters::wakeups_dropped_busy);
+  sum("pna.wakeups_rejected_requirements",
+      &PnaCounters::wakeups_rejected_requirements);
+  sum("pna.wakeups_dropped_probability",
+      &PnaCounters::wakeups_dropped_probability);
+  sum("pna.joins", &PnaCounters::joins);
+  sum("pna.resets", &PnaCounters::resets);
+  sum("pna.tasks_completed", &PnaCounters::tasks_completed);
+  sum("pna.heartbeats_sent", &PnaCounters::heartbeats_sent);
+  if (paced) sum("pna.heartbeats_paced", &PnaCounters::heartbeats_paced);
+  if (byzantine) {
+    sum("pna.results_forged", &PnaCounters::results_forged);
+    sum("pna.results_freeridden", &PnaCounters::results_freeridden);
+  }
 }
 
 void BroadcastCounters::link(MetricsRegistry& registry) const {

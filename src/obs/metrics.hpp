@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -237,6 +238,10 @@ class MetricsRegistry {
   /// putting an atomic on the update path. Shadows any direct link.
   void link_counter_fn(std::string_view name,
                        std::function<std::uint64_t()> fn);
+  /// Counter exported as the sum of several cells (per-shard copies of one
+  /// counter), read at snapshot time. Shadows any direct link.
+  void link_counter_sum(std::string_view name,
+                        std::vector<const Counter*> cells);
   /// Histogram exported as the element-wise sum of several per-shard
   /// histograms (identical min_value expected). Shadows any direct link.
   void link_histogram_set(std::string_view name,
@@ -278,9 +283,10 @@ class MetricsRegistry {
 
 // --- shared instrument blocks ----------------------------------------------
 
-/// Aggregate counters for an entire PNA population: every agent of one
-/// system increments the same cells through a shared pointer in its
-/// environment (per-agent `PnaStats` remain per-agent).
+/// Aggregate counters for a PNA population: every agent of one shard
+/// increments its shard's block through a shared pointer in its
+/// environment (per-agent `PnaStats` remain per-agent). The registry
+/// exports each cell once, summed over the shard blocks.
 struct PnaCounters {
   Counter control_messages_seen;
   Counter signature_failures;
@@ -301,9 +307,11 @@ struct PnaCounters {
   Counter results_forged;
   Counter results_freeridden;
 
-  void link(MetricsRegistry& registry) const;
-  void link_paced(MetricsRegistry& registry) const;
-  void link_byzantine(MetricsRegistry& registry) const;
+  /// Register the population cells, each summed over `shards`. The paced
+  /// and byzantine cells register only when asked for.
+  static void link(MetricsRegistry& registry,
+                   std::span<const PnaCounters* const> shards, bool paced,
+                   bool byzantine);
 };
 
 /// Shared counters for all broadcast media of one system (carousel and

@@ -59,10 +59,12 @@ void Config::set(const std::string& key, const std::string& value) {
 }
 
 bool Config::contains(const std::string& key) const {
+  read_.insert(key);
   return values_.count(key) > 0;
 }
 
 std::optional<std::string> Config::get(const std::string& key) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -114,6 +116,44 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
   if (s == "false" || s == "0" || s == "no" || s == "off") return false;
   throw std::runtime_error("Config: non-boolean value for key " + key);
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) out.push_back(key);
+  }
+  return out;
+}
+
+std::string Config::nearest_read_key(const std::string& key) const {
+  // Levenshtein distance, one row at a time.
+  const auto distance = [](const std::string& a, const std::string& b) {
+    std::vector<std::size_t> row(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+      std::size_t diagonal = row[0];
+      row[0] = i;
+      for (std::size_t j = 1; j <= b.size(); ++j) {
+        const std::size_t above = row[j];
+        row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                           diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+        diagonal = above;
+      }
+    }
+    return row[b.size()];
+  };
+  // A plausible typo edits at most a third of the key (and at least 2).
+  std::size_t best = std::max<std::size_t>(2, key.size() / 3) + 1;
+  std::string nearest;
+  for (const auto& candidate : read_) {
+    const std::size_t d = distance(key, candidate);
+    if (d < best) {
+      best = d;
+      nearest = candidate;
+    }
+  }
+  return nearest;
 }
 
 }  // namespace oddci::util

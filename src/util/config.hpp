@@ -2,7 +2,9 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 /// Tiny `key = value` configuration parser used by the examples to make
 /// scenario parameters editable without recompiling. Supports comments
@@ -35,8 +37,17 @@ class Config {
     return values_;
   }
 
+  /// Keys that are set but that no getter has asked for: misspelt or
+  /// retired keys. Meaningful once every getter the program uses has run.
+  [[nodiscard]] std::vector<std::string> unread_keys() const;
+  /// The asked-for key nearest to `key` by edit distance, or "" when none
+  /// is close enough to be a plausible typo.
+  [[nodiscard]] std::string nearest_read_key(const std::string& key) const;
+
  private:
   std::map<std::string, std::string> values_;
+  /// Every key a getter has asked for, present or not.
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace oddci::util

@@ -65,6 +65,47 @@ TEST(ContentStore, SharedControlIsDecodedOnceAndPrepared) {
   EXPECT_EQ(store.get_control_shared(id).get(), prepared.get());
 }
 
+TEST(ContentStore, MemoizedVerifyAgreesWithPerMessageDecodeAndVerify) {
+  // The agents' memoized verify must reach the verdict a receiver decoding
+  // and verifying the message on its own would reach, on the cache miss
+  // and on the hit that follows.
+  constexpr broadcast::SigningKey kTrusted = 0xAB;
+  struct Case {
+    const char* name;
+    broadcast::SigningKey signer;
+    bool tamper;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"signed", kTrusted, false, true},
+      {"tampered", kTrusted, true, false},
+      {"wrong key", 0xCD, false, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ContentStore store;
+    broadcast::VerifyCache cache;
+    ControlMessage m;
+    m.type = ControlType::kWakeup;
+    m.instance = 5;
+    m.probability = 0.25;
+    m.sign_with(c.signer);
+    if (c.tamper) m.probability = 1.0;  // edited after signing
+    const auto id = store.put_control(m);
+
+    const auto decoded = store.get_control(id);
+    ASSERT_TRUE(decoded.has_value());
+    const bool reference = decoded->verify_with(kTrusted);
+    EXPECT_EQ(reference, c.accepted);
+    const auto prepared = store.get_control_shared(id);
+    ASSERT_NE(prepared, nullptr);
+    EXPECT_EQ(prepared->verify_with(kTrusted, cache), reference);
+    EXPECT_EQ(cache.misses().value(), 1u);
+    EXPECT_EQ(prepared->verify_with(kTrusted, cache), reference);
+    EXPECT_EQ(cache.hits().value(), 1u);
+  }
+}
+
 TEST(ContentStore, EncoderWriterIsReusedAcrossPuts) {
   ContentStore store;
   ControlMessage m;

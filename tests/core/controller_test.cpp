@@ -71,7 +71,7 @@ struct ControllerTest : ::testing::Test {
   /// The control message currently staged in the carousel config file
   /// (decoded from its stored wire bytes).
   std::optional<ControlMessage> staged_control() {
-    const auto* file = channel.carousel().current().find("oddci.config");
+    const auto* file = channel.carousel().current().find(kPnaConfigFile);
     if (file == nullptr) return std::nullopt;
     return store.get_control(file->content_id);
   }
@@ -82,9 +82,10 @@ TEST_F(ControllerTest, DeployStagesTriggerApplication) {
   EXPECT_TRUE(controller->deployed());
   const auto autostarts = channel.ait().autostart_entries();
   ASSERT_EQ(autostarts.size(), 1u);
-  EXPECT_EQ(autostarts[0].application_name, "oddci-pna");
-  EXPECT_EQ(autostarts[0].base_file, "pna.xlet");
-  EXPECT_NE(channel.carousel().current().find("pna.xlet"), nullptr);
+  EXPECT_EQ(autostarts[0].application_id, kPnaApplicationId);
+  EXPECT_EQ(autostarts[0].application_name, kPnaApplicationName);
+  EXPECT_EQ(autostarts[0].base_file, kPnaFile);
+  EXPECT_NE(channel.carousel().current().find(kPnaFile), nullptr);
   // The deployment hello is a signed reset matching no instance.
   const auto hello = staged_control();
   ASSERT_TRUE(hello.has_value());
@@ -255,17 +256,16 @@ TEST_F(ControllerTest, RecompositionRebroadcastsWakeup) {
 }
 
 TEST_F(ControllerTest, OptionValidation) {
-  // Deliberately through the deprecated aliases: a bad value forwarded
-  // into the policy must still throw at construction.
+  // A bad policy knob must throw at construction.
   ControllerOptions bad;
-  bad.monitor_interval = sim::SimTime::zero();
+  bad.policy.monitor_interval = sim::SimTime::zero();
   EXPECT_THROW(Controller(sim, net, channel, store, 1,
                           net::LinkSpec{kMbps(1), kMbps(1),
                                         sim::SimTime::zero()},
                           bad),
                std::invalid_argument);
   bad = ControllerOptions{};
-  bad.stale_factor = 1.0;
+  bad.policy.stale_factor = 1.0;
   EXPECT_THROW(Controller(sim, net, channel, store, 1,
                           net::LinkSpec{kMbps(1), kMbps(1),
                                         sim::SimTime::zero()},

@@ -10,7 +10,6 @@ namespace {
 
 constexpr auto kMbps = [](double m) { return util::BitRate::from_mbps(m); };
 constexpr broadcast::SigningKey kKey = 0x0DDC1;
-constexpr std::uint32_t kAppId = 0x4F44;
 
 /// Captures heartbeats and can answer with reset commands.
 class FakeController final : public net::Endpoint {
@@ -98,12 +97,16 @@ struct PnaTest : ::testing::Test {
   ContentStore store;
   FakeController controller{sim, net};
   FakeBackend backend{sim, net, /*tasks=*/3};
+  broadcast::VerifyCache verify_cache;
+  net::MessagePool<HeartbeatMessage> heartbeat_pool;
   PnaEnvironment env;
   std::unique_ptr<dtv::Receiver> receiver;
 
   void SetUp() override {
     env.content_store = &store;
     env.trusted_key = kKey;
+    env.verify_cache = &verify_cache;
+    env.heartbeat_pool = &heartbeat_pool;
     env.task_poll_interval = sim::SimTime::from_seconds(5);
 
     receiver = std::make_unique<dtv::Receiver>(
@@ -112,18 +115,18 @@ struct PnaTest : ::testing::Test {
                       util::BitRate::from_kbps(150),
                       sim::SimTime::from_millis(10)});
     receiver->application_manager().register_factory(
-        "oddci-pna",
+        kPnaApplicationName,
         [this] { return std::make_unique<PnaXlet>(env, /*seed=*/77); });
     receiver->tune(channel);
 
     // Deploy the PNA trigger application, as the Controller would.
     broadcast::AitEntry entry;
-    entry.application_id = kAppId;
+    entry.application_id = kPnaApplicationId;
     entry.control_code = broadcast::AppControlCode::kAutostart;
-    entry.application_name = "oddci-pna";
-    entry.base_file = "pna.xlet";
+    entry.application_name = kPnaApplicationName;
+    entry.base_file = kPnaFile;
     channel.ait().upsert(entry);
-    channel.carousel().put_file("pna.xlet", util::Bits::from_kilobytes(64),
+    channel.carousel().put_file(kPnaFile, util::Bits::from_kilobytes(64),
                                 0);
   }
 
@@ -135,7 +138,7 @@ struct PnaTest : ::testing::Test {
     }
     msg.sign_with(key);
     const auto content = store.put_control(msg);
-    channel.carousel().put_file("oddci.config", util::Bits::from_bytes(512),
+    channel.carousel().put_file(kPnaConfigFile, util::Bits::from_bytes(512),
                                 content);
     channel.commit();
   }
@@ -153,7 +156,7 @@ struct PnaTest : ::testing::Test {
 
   PnaXlet* pna() {
     return dynamic_cast<PnaXlet*>(
-        receiver->application_manager().find(kAppId));
+        receiver->application_manager().find(kPnaApplicationId));
   }
 };
 
@@ -301,6 +304,15 @@ TEST_F(PnaTest, PowerOffDestroysXlet) {
 TEST_F(PnaTest, NullContentStoreRejected) {
   PnaEnvironment bad;
   bad.content_store = nullptr;
+  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+}
+
+TEST_F(PnaTest, MissingVerifyCacheOrHeartbeatPoolRejected) {
+  PnaEnvironment bad = env;
+  bad.verify_cache = nullptr;
+  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  bad = env;
+  bad.heartbeat_pool = nullptr;
   EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
 }
 

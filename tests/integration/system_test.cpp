@@ -145,6 +145,30 @@ TEST(SystemIntegration, ConfigValidation) {
   EXPECT_THROW(OddciSystem{config}, std::invalid_argument);
 }
 
+TEST(SystemIntegration, BusyPnaCountMatchesInstanceMembersMidJob) {
+  OddciSystem system(small_config());
+  system.controller().deploy_pna();
+  system.kernel().run_until(system.config().warmup);
+
+  InstanceSpec spec;
+  spec.name = "busy";
+  spec.target_size = 40;
+  spec.image_size = util::Bits::from_megabytes(2);
+  spec.heartbeat_interval = system.config().controller.default_heartbeat;
+  const InstanceId id =
+      system.provider().request_instance(spec, system.backend().node_id());
+  // Long tasks keep every member computing well past the check below.
+  system.backend().submit(small_job(400, 600.0), id, [] {});
+  system.kernel().run_until(system.simulation().now() +
+                            sim::SimTime::from_minutes(20));
+
+  const InstanceStatus* status = system.controller().status(id);
+  ASSERT_NE(status, nullptr);
+  ASSERT_GT(status->current_size, 0u);
+  EXPECT_GT(system.backend().tasks_remaining(), 0u);  // still mid-job
+  EXPECT_EQ(system.busy_pna_count(), status->current_size);
+}
+
 TEST(SystemIntegration, EfficiencyFormula) {
   RunResult r;
   r.makespan_seconds = 100.0;

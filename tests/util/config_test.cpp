@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace oddci::util {
 namespace {
@@ -78,6 +80,18 @@ TEST(Config, LoadFromFile) {
   EXPECT_EQ(c.get_int("receivers", 0), 123);
   std::remove(path.c_str());
   EXPECT_THROW(Config::load(path), std::runtime_error);
+}
+
+TEST(Config, UnreadKeysAreTheOnesNoGetterAskedFor) {
+  const Config c = Config::parse("shards = 4\nshardz = 4\nseed = 1\n");
+  (void)c.get_int("shards", 1);
+  (void)c.get_int("seed", 42);
+  (void)c.get_bool("churn", false);  // asked for, though unset
+  EXPECT_EQ(c.unread_keys(), std::vector<std::string>{"shardz"});
+  // The hint comes from every key a getter asked for, set or not.
+  EXPECT_EQ(c.nearest_read_key("shardz"), "shards");
+  EXPECT_EQ(c.nearest_read_key("chrun"), "churn");
+  EXPECT_EQ(c.nearest_read_key("fanout_fast_path"), "");
 }
 
 }  // namespace
