@@ -11,7 +11,7 @@
 
 /// Shared metrics-file emission for the bench binaries. Each bench captures
 /// one representative run's MetricsSnapshot and writes it next to its stdout
-/// tables — `<bench>_metrics.json` (full snapshot, schema oddci.metrics.v1)
+/// tables — `<bench>_metrics.json` (full snapshot, schema oddci.metrics.v2)
 /// plus `<bench>_series.csv` (time series only, long format) — so the
 /// exporter wiring is exercised on every bench run and the trajectory has
 /// machine-readable output. Pass `--no-metrics` to suppress the files.

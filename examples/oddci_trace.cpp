@@ -7,7 +7,7 @@
 //       one-line inventory. Exit 0 iff the file is well formed.
 //   oddci_trace summary <trace.json | metrics.json>
 //       Event counts per kind and per component, distinct causal chains,
-//       covered sim-time range. Given an oddci.metrics.v1 snapshot instead,
+//       covered sim-time range. Given an oddci.metrics.v2 snapshot instead,
 //       prints the histograms as quantile summaries (count/mean/p50/p90/
 //       p99/max) rather than raw bucket dumps.
 //   oddci_trace timeline <trace.json> <trace_id>
@@ -279,8 +279,7 @@ int cmd_metrics_summary(const oddci::obs::MetricsSnapshot& snap) {
   std::cout << "metrics snapshot at t = " << snap.taken_at_seconds << " s: "
             << snap.counters.size() << " counters, " << snap.gauges.size()
             << " gauges, " << snap.histograms.size() << " histograms, "
-            << snap.series.size() << " series, " << snap.spans.size()
-            << " spans\n";
+            << snap.series.size() << " series\n";
   if (snap.histograms.empty()) return 0;
   Table table({"histogram", "count", "mean", "p50", "p90", "p99", "max"});
   for (const auto& h : snap.histograms) {
@@ -416,7 +415,7 @@ int usage() {
          "  profile  <run.profile.json> [trace.json]\n"
          "                                    kernel bottleneck report\n"
          "\n"
-         "summary also accepts an oddci.metrics.v1 snapshot and prints\n"
+         "summary also accepts an oddci.metrics.v2 snapshot and prints\n"
          "histogram quantile summaries.\n";
   return 2;
 }
@@ -433,9 +432,10 @@ int main(int argc, char** argv) {
     if (command == "profile") {
       return cmd_profile(path, argc > 3 ? argv[3] : nullptr);
     }
+    // Any metrics schema goes to the metrics reader, so a file from an
+    // older schema is reported as such rather than as a bad trace.
     if (command == "summary" &&
-        file_head(path).find(oddci::obs::kMetricsSchema) !=
-            std::string::npos) {
+        file_head(path).find("\"oddci.metrics.") != std::string::npos) {
       return cmd_metrics_summary(oddci::obs::read_json(path));
     }
 

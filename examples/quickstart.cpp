@@ -6,8 +6,8 @@
 //                   [trace.json]
 //
 // When a fourth argument is given, the run's full MetricsSnapshot (counters,
-// latency histograms, sampled time series, trace spans) is exported there as
-// oddci.metrics.v1 JSON. A fifth argument switches the causal flight
+// latency histograms, sampled time series) is exported there as
+// oddci.metrics.v2 JSON. A fifth argument switches the causal flight
 // recorder on and exports the recorded protocol hops there as Chrome trace
 // JSON (open in https://ui.perfetto.dev or chrome://tracing; inspect with
 // examples/oddci_trace).
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
             << "\n  direct messages: " << result.network.messages_delivered
             << "\n";
 
-  // The same counters — and much more (histograms, series, spans) — are in
+  // The same counters — and much more (histograms, series) — are in
   // the registry-backed snapshot the run returned.
   if (metrics_path != nullptr) {
     obs::write_json(metrics_path, result.metrics);

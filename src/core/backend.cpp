@@ -115,9 +115,6 @@ void Backend::on_message(net::NodeId from, const net::MessagePtr& message) {
       if (index < done_.size() && !done_[index] && !failed_[index] &&
           outstanding_.erase(vkey(index, abort.replica())) > 0) {
         ++metrics_.aborts_received;
-        if (verifier_ == nullptr && tracer_ != nullptr) {
-          tracer_->discard("task.cycle", index);
-        }
         if (recorder_ != nullptr) {
           recorder_->emit(simulation_.now(),
                           obs::TraceEventKind::kTaskAborted,
@@ -156,9 +153,6 @@ void Backend::handle_request(net::NodeId from,
   }
   outstanding_[index] = Outstanding{from, simulation_.now(), dispatch};
   ++metrics_.assignments;
-  if (tracer_ != nullptr) {
-    tracer_->begin("task.cycle", index, simulation_.now().seconds());
-  }
 
   const workload::Task& task = job_.tasks[index];
   network_.send(node_id_, from,
@@ -296,9 +290,6 @@ void Backend::handle_result(net::NodeId from, const TaskResultMessage& result) {
     task_cycle_.record(
         (simulation_.now() - out_it->second.assigned_at).seconds());
     outstanding_.erase(out_it);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->end("task.cycle", index, simulation_.now().seconds());
   }
   if (recorder_ != nullptr) {
     recorder_->emit(simulation_.now(), obs::TraceEventKind::kTaskResult,
@@ -464,9 +455,6 @@ void Backend::sweep_timeouts() {
     const obs::TraceContext dispatch = it->second.trace;
     outstanding_.erase(it);
     const std::uint64_t index = key & kIndexMask;
-    if (verifier_ == nullptr && tracer_ != nullptr) {
-      tracer_->discard("task.cycle", index);
-    }
     if (verifier_ != nullptr) verifier_->on_replica_lost(index);
     if (note_retry(index)) {
       ++metrics_.reassignments;

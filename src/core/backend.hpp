@@ -11,7 +11,6 @@
 #include "core/messages.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 #include "workload/job.hpp"
 
@@ -158,11 +157,6 @@ class Backend final : public net::Endpoint {
   /// "backend.*" in `registry`. The backend must outlive snapshot() calls.
   void link_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Attach a tracer: records a "task.cycle" span per dispatched task
-  /// (assignment -> first result; abandoned on abort/re-queue). nullptr
-  /// detaches.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   /// Attach a flight recorder: dispatch/result/abort/requeue hops are
   /// emitted as causally linked events, and assignments carry the context
   /// to the executing PNA. nullptr detaches.
@@ -264,7 +258,6 @@ class Backend final : public net::Endpoint {
   obs::LogHistogram task_retries_{1.0};
   /// Verified mode: revote count of each task at conclusion time.
   obs::LogHistogram task_revotes_{1.0};
-  obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

@@ -183,9 +183,6 @@ InstanceId Controller::create_instance(const InstanceSpec& spec,
   wakeup.trace = parent;
 
   instances_.emplace(id, std::move(inst));
-  if (tracer_ != nullptr) {
-    tracer_->begin("instance.form", id, simulation_.now().seconds());
-  }
   const obs::TraceContext formatted = broadcast_control(wakeup);
   Instance& live = instances_.at(id);
   live.trace = formatted;
@@ -226,9 +223,6 @@ void Controller::destroy_instance(InstanceId id) {
   inst.status.target_size = 0;
   inst.pending_trims = 0;
   engine_->forget(id);
-  if (tracer_ != nullptr) {
-    tracer_->discard("instance.form", id);  // destroyed before forming
-  }
 
   for (auto* channel : channels_) {
     channel->remove_file(inst.image.name);
@@ -435,10 +429,6 @@ void Controller::note_member_change(Instance& inst) {
       inst.status.current_size >= inst.status.target_size &&
       inst.status.active) {
     inst.status.reached_target_at = simulation_.now();
-    if (tracer_ != nullptr) {
-      tracer_->end("instance.form", inst.status.id,
-                   simulation_.now().seconds());
-    }
     if (recorder_ != nullptr) {
       recorder_->emit(simulation_.now(), obs::TraceEventKind::kInstanceReady,
                       obs::TraceComponent::kController, inst.trace,

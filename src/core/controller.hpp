@@ -15,7 +15,6 @@
 #include "core/messages.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 
 /// The OddCI Controller.
@@ -257,10 +256,6 @@ class Controller final : public net::Endpoint {
   [[nodiscard]] const control::PolicyOptions& policy() const {
     return options_.policy;
   }
-
-  /// Attach a tracer: records an "instance.form" span per instance
-  /// (wakeup broadcast -> target size reached). nullptr detaches.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attach a flight recorder: every control-plane hop (format, member
   /// join, prune, trim, ready) is emitted as a causally linked trace
@@ -507,7 +502,6 @@ class Controller final : public net::Endpoint {
   /// Incremental mirrors of the membership maps (O(1) sampler probes).
   std::size_t idle_known_ = 0;
   std::size_t members_total_ = 0;
-  obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

@@ -21,6 +21,9 @@ void SystemConfig::validate() const {
   if (tuned_fraction < 0.0 || tuned_fraction > 1.0) {
     throw std::invalid_argument("SystemConfig: tuned_fraction out of [0,1]");
   }
+  if (!(section_loss >= 0.0 && section_loss < 1.0)) {
+    throw std::invalid_argument("SystemConfig: section_loss out of [0,1)");
+  }
   if (initial_power == dtv::PowerMode::kOff && !churn) {
     throw std::invalid_argument(
         "SystemConfig: all receivers off with no churn would deadlock");
@@ -45,23 +48,17 @@ void SystemConfig::validate() const {
     throw std::invalid_argument(
         "SystemConfig: controller.pna_xlet_size must be > 0");
   }
-  if (obs.enabled) {
-    if (obs.sample_interval <= sim::SimTime::zero()) {
-      throw std::invalid_argument(
-          "SystemConfig: obs.sample_interval must be > 0");
-    }
-    if (obs.max_series_points == 0) {
-      throw std::invalid_argument(
-          "SystemConfig: obs.max_series_points must be > 0");
-    }
-    if (obs.trace && obs.trace_capacity == 0) {
-      throw std::invalid_argument(
-          "SystemConfig: obs.trace_capacity must be > 0");
-    }
-  }
-  if (obs.trace && !obs.enabled) {
+  if (obs.sample_interval <= sim::SimTime::zero()) {
     throw std::invalid_argument(
-        "SystemConfig: obs.trace requires obs.enabled");
+        "SystemConfig: obs.sample_interval must be > 0");
+  }
+  if (obs.max_series_points == 0) {
+    throw std::invalid_argument(
+        "SystemConfig: obs.max_series_points must be > 0");
+  }
+  if (obs.trace && obs.trace_capacity == 0) {
+    throw std::invalid_argument(
+        "SystemConfig: obs.trace_capacity must be > 0");
   }
   if (heartbeat.mode == HeartbeatMode::kDelta && heartbeat.resync_every == 0) {
     throw std::invalid_argument(
@@ -502,9 +499,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     }
   }
 
-  if (config_.obs.enabled) {
-    wire_observability();
-  }
+  wire_observability();
 
   if (injector_) injector_->start();
 }
@@ -512,8 +507,6 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
 void OddciSystem::wire_observability() {
   const std::size_t K = sharded_->shard_count();
   registry_ = std::make_unique<obs::MetricsRegistry>();
-  registry_->set_max_spans(config_.obs.max_spans);
-  tracer_ = std::make_unique<obs::Tracer>(*registry_);
 
   // Component cells: linked by pointer, owned by the components.
   network_->link_metrics(*registry_);
@@ -521,9 +514,7 @@ void OddciSystem::wire_observability() {
   // Engines register their own "control.*" cells; the default StaticPolicy
   // registers none (byte-identical snapshots vs. the pre-engine tree).
   controller_->engine().link_metrics(*registry_);
-  controller_->set_tracer(tracer_.get());
   backend_->link_metrics(*registry_);
-  backend_->set_tracer(tracer_.get());
   // Verify/reputation cells — only when the defense is on, so verify-off
   // snapshots are byte-identical to a build without the subsystem.
   if (verifier_) verifier_->link_metrics(*registry_);
@@ -692,7 +683,6 @@ broadcast::BroadcastMedium& OddciSystem::channel(std::size_t i) {
 }
 
 obs::MetricsSnapshot OddciSystem::metrics_snapshot() const {
-  if (!registry_) return obs::MetricsSnapshot{};
   return registry_->snapshot(simulation_->now().seconds());
 }
 
@@ -874,9 +864,7 @@ RunResult OddciSystem::run_job(const workload::Job& job,
   // direct channel cannot feed profitably.
   if (!backend_->would_admit(job)) {
     result.admitted = false;
-    if (registry_) {
-      result.metrics = registry_->snapshot(simulation_->now().seconds());
-    }
+    result.metrics = registry_->snapshot(simulation_->now().seconds());
     return result;
   }
 
@@ -934,12 +922,8 @@ RunResult OddciSystem::run_job(const workload::Job& job,
   }
   result.controller = controller_->stats();
   result.network = network_->stats();
-  if (registry_) {
-    result.metrics = registry_->snapshot(simulation_->now().seconds());
-  }
-  if (health_) {
-    result.health = health_->finalize(simulation_->now().seconds());
-  }
+  result.metrics = registry_->snapshot(simulation_->now().seconds());
+  result.health = health_->finalize(simulation_->now().seconds());
 
   provider_->release_instance(id);
   return result;

@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 #include "workload/job.hpp"
@@ -167,18 +166,14 @@ struct SystemConfig {
   /// agent path; the constant remains for provenance reports.
   static constexpr bool fanout_fast_path = true;
 
-  /// Observability. Instrumentation counters are always live (they are
-  /// plain increments); this controls the registry/sampler/tracer harness.
+  /// Observability. The metrics registry, series sampler and health
+  /// auditor are built on every run; these knobs tune them and switch the
+  /// optional recorders (causal trace, wall-clock profiler) on.
   struct ObsOptions {
-    /// Build the metrics registry, sampler and tracer. Off = run_job
-    /// returns an empty MetricsSnapshot and no sampling timers run.
-    bool enabled = true;
     /// Sim-time cadence of the series sampler.
     sim::SimTime sample_interval = sim::SimTime::from_seconds(10);
     /// Cap per series; further points are counted as dropped.
     std::size_t max_series_points = 1 << 16;
-    /// Completed trace spans retained for export.
-    std::size_t max_spans = 4096;
     /// Causal flight recorder: record every protocol hop (request ->
     /// format -> carousel -> receipt -> join -> heartbeat -> dispatch ->
     /// result) as a trace event and carry trace contexts on the wire.
@@ -192,8 +187,7 @@ struct SystemConfig {
     /// execute / barrier / drain / global phase attribution exported as
     /// `oddci.profile.v1`. Wall-clock data never reaches the metrics
     /// snapshot or Chrome trace, so seeded exports stay byte-identical
-    /// with this on or off. Works with obs.enabled false too (the
-    /// profiler needs no registry).
+    /// with this on or off.
     bool profile = false;
     /// Test hook for the health auditor: under-report this many injected
     /// message losses in the conservation ledger, forcing a seeded
@@ -240,11 +234,11 @@ struct RunResult {
   net::NetworkStats network;
   std::size_t final_instance_size = 0;
   /// Full metrics snapshot: counters, gauges, histograms (join/acquire/task
-  /// latency), sampled series (instance size, idle pool, heartbeat rate)
-  /// and trace spans. Empty when SystemConfig::obs.enabled is false.
+  /// latency) and sampled series (instance size, idle pool, heartbeat
+  /// rate).
   obs::MetricsSnapshot metrics;
   /// Conservation-invariant audit at run end (plus periodic samples during
-  /// the run). Empty — trivially ok() — when obs is disabled.
+  /// the run). Empty — trivially ok() — for a job that admission deferred.
   obs::HealthReport health;
 
   /// Efficiency per the paper's Eq. (2): E = n * p / (M * N) with p the
@@ -293,15 +287,14 @@ class OddciSystem {
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
   /// Metrics registry holding every instrumented cell of this system;
-  /// nullptr when SystemConfig::obs.enabled is false.
+  /// never null.
   [[nodiscard]] obs::MetricsRegistry* metrics() { return registry_.get(); }
   [[nodiscard]] const obs::MetricsRegistry* metrics() const {
     return registry_.get();
   }
-  /// Snapshot of every metric at the current sim time (empty if obs is
-  /// disabled).
+  /// Snapshot of every metric at the current sim time.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
-  /// The sim-time series sampler; nullptr when obs is disabled.
+  /// The sim-time series sampler; never null.
   [[nodiscard]] obs::Sampler* sampler() { return sampler_.get(); }
   /// The causal flight recorder; nullptr unless SystemConfig::obs.trace.
   /// Under a sharded kernel this is shard 0's ring (control-plane events);
@@ -327,9 +320,8 @@ class OddciSystem {
   /// (empty) when no profiler is attached. Call between runs.
   [[nodiscard]] obs::ProfileSnapshot profile_snapshot() const;
 
-  /// Conservation ledger over the current counters (see obs/health.hpp).
-  /// Heartbeat/pool balances need the obs counter wiring, so call only
-  /// with SystemConfig::obs.enabled; the auditor and tests use this.
+  /// Conservation ledger over the current counters (see obs/health.hpp);
+  /// the auditor and tests use this.
   [[nodiscard]] obs::HealthLedger health_ledger() const;
 
   /// Fault injector driving the configured fault plan; nullptr when
@@ -424,13 +416,12 @@ class OddciSystem {
   std::vector<std::unique_ptr<ChurnProcess>> churn_procs_;
   broadcast::SigningKey key_ = 0;
 
-  // Observability harness (only when config_.obs.enabled). Declared after
-  // the components it links so destruction detaches cleanly.
+  // Observability harness. Declared after the components it links so
+  // destruction detaches cleanly.
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::Sampler> sampler_;
-  /// Wall-clock profiler (obs.profile) and conservation auditor
-  /// (obs.enabled); both read-only with respect to the event trajectory.
+  /// Wall-clock profiler (obs.profile) and conservation auditor; both
+  /// read-only with respect to the event trajectory.
   std::unique_ptr<obs::KernelProfiler> profiler_;
   std::unique_ptr<obs::HealthAuditor> health_;
   obs::BroadcastCounters broadcast_counters_;

@@ -132,7 +132,7 @@ void encode_into(const ControlMessage& m, Writer& w) {
   w.u32(static_cast<std::uint32_t>(m.aggregators.size()));
   for (auto node : m.aggregators) w.u32(node);
   // Trace context travels as transport-header metadata: on the wire but
-  // outside canonical_bytes(), so attaching a tracer never re-signs.
+  // outside canonical_bytes(), so attaching a recorder never re-signs.
   w.u64(m.trace.trace_id);
   w.u64(m.trace.parent_span);
   w.u64(m.signature);

@@ -120,19 +120,6 @@ std::string to_json(const MetricsSnapshot& snap) {
     o += '}';
   });
 
-  out += ",\"spans\":";
-  append_array(out, snap.spans, [](std::string& o, const SpanSample& s) {
-    o += "{\"name\":";
-    append_string(o, s.name);
-    o += ",\"key\":";
-    append_u64(o, s.key);
-    o += ",\"start_seconds\":";
-    append_double(o, s.start_seconds);
-    o += ",\"end_seconds\":";
-    append_double(o, s.end_seconds);
-    o += '}';
-  });
-
   out += "}\n";
   return out;
 }
@@ -167,7 +154,12 @@ MetricsSnapshot snapshot_from_json(std::string_view json) {
     sample.sum = member(ho, "sum").as_double();
     sample.min = member(ho, "min").as_double();
     sample.max = member(ho, "max").as_double();
-    sample.buckets.assign(member(ho, "bucket_count").as_u64(), 0);
+    // Every histogram has the same fixed bucket layout; checking the count
+    // before sizing the array keeps a hostile file from naming any size.
+    if (member(ho, "bucket_count").as_u64() != LogHistogram::kBucketCount) {
+      throw std::runtime_error("metrics json: bad bucket_count");
+    }
+    sample.buckets.assign(LogHistogram::kBucketCount, 0);
     for (const auto& entry : member(ho, "buckets").as_array()) {
       const json::Array& pair = entry.as_array();
       if (pair.size() != 2) {
@@ -193,14 +185,6 @@ MetricsSnapshot snapshot_from_json(std::string_view json) {
       throw std::runtime_error("metrics json: series length mismatch");
     }
     snap.series.push_back(std::move(sample));
-  }
-
-  for (const auto& s : member(obj, "spans").as_array()) {
-    const json::Object& so = s.as_object();
-    snap.spans.push_back(SpanSample{member(so, "name").as_string(),
-                                    member(so, "key").as_u64(),
-                                    member(so, "start_seconds").as_double(),
-                                    member(so, "end_seconds").as_double()});
   }
 
   return snap;

@@ -5,15 +5,15 @@
 
 #include "obs/metrics.hpp"
 
-/// Snapshot exporters. The JSON form (`oddci.metrics.v1`) is the machine
-/// interface — a single object holding every counter, gauge, histogram,
-/// series and span; doubles are printed with %.17g so a parsed-back
+/// Snapshot exporters. The JSON form (`oddci.metrics.v2`) is the machine
+/// interface — a single object holding every counter, gauge, histogram
+/// and series; doubles are printed with %.17g so a parsed-back
 /// snapshot compares bit-identical to the original. The CSV form is a
 /// long-format table of the time series only (series,time,value rows),
 /// for spreadsheet/plotting workflows.
 namespace oddci::obs {
 
-inline constexpr std::string_view kMetricsSchema = "oddci.metrics.v1";
+inline constexpr std::string_view kMetricsSchema = "oddci.metrics.v2";
 
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snap);
 void write_json(const std::string& path, const MetricsSnapshot& snap);

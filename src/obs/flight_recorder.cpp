@@ -123,8 +123,6 @@ FlightRecorder::FlightRecorder(std::size_t capacity) {
   ring_.resize(capacity);
 }
 
-#ifndef ODDCI_NO_TRACE
-
 void FlightRecorder::record(const TraceEvent& event) noexcept {
   ring_[head_] = event;
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
@@ -148,8 +146,6 @@ TraceContext FlightRecorder::emit(sim::SimTime t, TraceEventKind kind,
   record(e);
   return e.context();
 }
-
-#endif  // ODDCI_NO_TRACE
 
 std::vector<TraceEvent> FlightRecorder::events() const {
   std::vector<TraceEvent> out;

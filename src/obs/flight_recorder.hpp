@@ -23,9 +23,7 @@
 ///    their parent's `TraceContext` so two same-seed runs produce identical
 ///    id assignments and therefore byte-identical exports.
 ///  * The recorder is off by default: components hold a nullable
-///    `FlightRecorder*` and skip emission when it is null. Defining
-///    `ODDCI_NO_TRACE` (CMake option ODDCI_TRACING=OFF) additionally
-///    compiles `record()`/`emit()` down to no-ops.
+///    `FlightRecorder*` and skip emission when it is null.
 namespace oddci::obs {
 
 /// Trace context carried across hops (on the wire and in task records).
@@ -159,14 +157,6 @@ class FlightRecorder {
     id_stride_ = stride == 0 ? 1 : stride;
   }
 
-#ifdef ODDCI_NO_TRACE
-  void record(const TraceEvent&) noexcept {}
-  TraceContext emit(sim::SimTime, TraceEventKind, TraceComponent,
-                    TraceContext = {}, std::uint64_t = 0,
-                    std::uint64_t = 0) noexcept {
-    return {};
-  }
-#else
   /// Copy `event` into the ring, overwriting the oldest event when full.
   void record(const TraceEvent& event) noexcept;
 
@@ -176,7 +166,6 @@ class FlightRecorder {
   TraceContext emit(sim::SimTime t, TraceEventKind kind,
                     TraceComponent component, TraceContext parent = {},
                     std::uint64_t actor = 0, std::uint64_t arg = 0) noexcept;
-#endif
 
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
@@ -205,12 +194,5 @@ class FlightRecorder {
   std::uint64_t id_offset_ = 0;
   std::uint64_t id_stride_ = 1;
 };
-
-/// True when the recorder is compiled in (ODDCI_TRACING=ON, the default).
-#ifdef ODDCI_NO_TRACE
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
 
 }  // namespace oddci::obs

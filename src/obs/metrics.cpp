@@ -252,16 +252,6 @@ bool MetricsRegistry::has(std::string_view name) const {
          histogram_sets_.count(name) > 0;
 }
 
-void MetricsRegistry::record_span(std::string_view name, std::uint64_t key,
-                                  double start_seconds, double end_seconds) {
-  if (spans_.size() >= max_spans_) {
-    ++spans_dropped_;
-    return;
-  }
-  spans_.push_back(
-      SpanSample{std::string(name), key, start_seconds, end_seconds});
-}
-
 MetricsSnapshot MetricsRegistry::snapshot(double now_seconds) const {
   MetricsSnapshot snap;
   snap.taken_at_seconds = now_seconds;
@@ -335,8 +325,6 @@ MetricsSnapshot MetricsRegistry::snapshot(double now_seconds) const {
     snap.series.push_back(
         SeriesSample{name, s->dropped(), s->times(), s->values()});
   }
-
-  snap.spans = spans_;
   return snap;
 }
 

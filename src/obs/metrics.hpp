@@ -179,14 +179,6 @@ struct SeriesSample {
   bool operator==(const SeriesSample&) const = default;
 };
 
-struct SpanSample {
-  std::string name;
-  std::uint64_t key = 0;
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-  bool operator==(const SpanSample&) const = default;
-};
-
 /// Plain-data copy of everything the registry knows, ordered by name so
 /// exports are deterministic. Owns all its storage.
 struct MetricsSnapshot {
@@ -195,7 +187,6 @@ struct MetricsSnapshot {
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
   std::vector<SeriesSample> series;
-  std::vector<SpanSample> spans;
 
   [[nodiscard]] const CounterSample* find_counter(std::string_view name) const;
   [[nodiscard]] const GaugeSample* find_gauge(std::string_view name) const;
@@ -249,13 +240,6 @@ class MetricsRegistry {
 
   [[nodiscard]] bool has(std::string_view name) const;
 
-  /// Record a completed trace span (bounded retention; see max_spans()).
-  void record_span(std::string_view name, std::uint64_t key,
-                   double start_seconds, double end_seconds);
-  void set_max_spans(std::size_t n) { max_spans_ = n; }
-  [[nodiscard]] std::size_t max_spans() const { return max_spans_; }
-  [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
-
   [[nodiscard]] MetricsSnapshot snapshot(double now_seconds) const;
 
  private:
@@ -275,10 +259,6 @@ class MetricsRegistry {
       counter_fns_;
   std::map<std::string, std::vector<const LogHistogram*>, std::less<>>
       histogram_sets_;
-
-  std::vector<SpanSample> spans_;
-  std::size_t max_spans_ = 4096;
-  std::uint64_t spans_dropped_ = 0;
 };
 
 // --- shared instrument blocks ----------------------------------------------

@@ -1,5 +1,7 @@
 #include "core/system.hpp"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "workload/job.hpp"
@@ -143,6 +145,18 @@ TEST(SystemIntegration, ConfigValidation) {
   config = SystemConfig{};
   config.initial_power = dtv::PowerMode::kOff;
   EXPECT_THROW(OddciSystem{config}, std::invalid_argument);
+  // section_loss must lie in [0, 1): the channel applies only a positive
+  // value, so a negative one would silently run a clean channel, and 1
+  // would never deliver a section.
+  for (const double loss :
+       {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    config = SystemConfig{};
+    config.section_loss = loss;
+    EXPECT_THROW(OddciSystem{config}, std::invalid_argument) << loss;
+  }
+  config = SystemConfig{};
+  config.section_loss = 0.5;
+  EXPECT_NO_THROW(config.validate());
 }
 
 TEST(SystemIntegration, BusyPnaCountMatchesInstanceMembersMidJob) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -26,7 +27,6 @@ MetricsSnapshot sample_snapshot() {
   s.record(10.0, 1.0);
   s.record(20.0, 0.125);
   s.record(30.0, 9.0);  // over the cap -> dropped
-  reg.record_span("cycle", 7, 1.25, 2.75);
   return reg.snapshot(123.456);
 }
 
@@ -68,6 +68,22 @@ TEST(JsonExport, RejectsWrongSchemaAndGarbage) {
   EXPECT_THROW((void)snapshot_from_json("not json at all"),
                std::runtime_error);
   EXPECT_THROW((void)snapshot_from_json(""), std::runtime_error);
+
+  // A v1 document (the pre-v2 layout with a spans array) is another schema.
+  std::string v1 = to_json(sample_snapshot());
+  const std::string v2_tag = "\"" + std::string(kMetricsSchema) + "\"";
+  v1.replace(v1.find(v2_tag), v2_tag.size(), "\"oddci.metrics.v1\"");
+  v1.insert(v1.rfind('}'), ",\"spans\":[]");
+  EXPECT_THROW((void)snapshot_from_json(v1), std::runtime_error);
+
+  // A bucket_count other than the fixed layout's is rejected before the
+  // bucket array is sized, so a hostile file cannot name an allocation.
+  std::string json = to_json(sample_snapshot());
+  const std::string count_tag =
+      "\"bucket_count\":" + std::to_string(LogHistogram::kBucketCount);
+  json.replace(json.find(count_tag), count_tag.size(),
+               "\"bucket_count\":2305843009213693952");  // 2^61
+  EXPECT_THROW((void)snapshot_from_json(json), std::runtime_error);
 }
 
 TEST(JsonExport, FileRoundTrip) {

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/trace.hpp"
-
 namespace oddci::obs {
 namespace {
 
@@ -159,89 +157,6 @@ TEST(MetricsRegistry, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(snap.find_histogram("h")->count, 1u);
   ASSERT_NE(snap.find_series("s"), nullptr);
   EXPECT_EQ(snap.find_series("s")->times.size(), 1u);
-}
-
-TEST(MetricsRegistry, SpanRetentionIsBounded) {
-  MetricsRegistry reg;
-  reg.set_max_spans(4);
-  for (int i = 0; i < 10; ++i) {
-    reg.record_span("cycle", static_cast<std::uint64_t>(i),
-                    static_cast<double>(i), static_cast<double>(i) + 0.5);
-  }
-  EXPECT_EQ(reg.spans_dropped(), 6u);
-  EXPECT_EQ(reg.snapshot(0.0).spans.size(), 4u);
-}
-
-// --- Tracer -----------------------------------------------------------------
-
-TEST(Tracer, SpanLifecycle) {
-  MetricsRegistry reg;
-  Tracer tracer(reg);
-  LogHistogram latency(1e-3);
-
-  tracer.begin("form", 1, 10.0);
-  EXPECT_EQ(tracer.open_count(), 1u);
-  EXPECT_DOUBLE_EQ(tracer.end("form", 1, 12.5, &latency), 2.5);
-  EXPECT_EQ(tracer.open_count(), 0u);
-  EXPECT_EQ(latency.count(), 1u);
-
-  // Ending a never-begun span is a counted no-op.
-  EXPECT_LT(tracer.end("form", 2, 1.0), 0.0);
-  EXPECT_EQ(tracer.unmatched_ends(), 1u);
-
-  // Discarded spans are not exported.
-  tracer.begin("form", 3, 1.0);
-  EXPECT_TRUE(tracer.discard("form", 3));
-  EXPECT_FALSE(tracer.discard("form", 3));
-
-  const MetricsSnapshot snap = reg.snapshot(20.0);
-  ASSERT_EQ(snap.spans.size(), 1u);
-  EXPECT_EQ(snap.spans[0].name, "form");
-  EXPECT_DOUBLE_EQ(snap.spans[0].start_seconds, 10.0);
-  EXPECT_DOUBLE_EQ(snap.spans[0].end_seconds, 12.5);
-}
-
-TEST(Tracer, ReBeginRestartsTheSpan) {
-  MetricsRegistry reg;
-  Tracer tracer(reg);
-  tracer.begin("form", 1, 10.0);
-  tracer.begin("form", 1, 20.0);  // wakeup retransmitted
-  EXPECT_DOUBLE_EQ(tracer.end("form", 1, 25.0), 5.0);
-}
-
-TEST(Tracer, InterningAssignsStableIds) {
-  MetricsRegistry reg;
-  Tracer tracer(reg);
-
-  const Tracer::NameId form = tracer.intern("instance.form");
-  const Tracer::NameId cycle = tracer.intern("task.cycle");
-  EXPECT_NE(form, 0u);
-  EXPECT_NE(form, cycle);
-  EXPECT_EQ(tracer.intern("instance.form"), form);  // idempotent
-  EXPECT_EQ(tracer.interned_count(), 2u);
-  EXPECT_EQ(tracer.name_of(form), "instance.form");
-  EXPECT_EQ(tracer.name_of(0), "");
-  EXPECT_EQ(tracer.name_of(99), "");
-}
-
-TEST(Tracer, IdAndStringPathsShareSpans) {
-  MetricsRegistry reg;
-  Tracer tracer(reg);
-
-  // A span begun through the hot id path must be visible to the string
-  // convenience overload, and vice versa.
-  const Tracer::NameId id = tracer.intern("task.cycle");
-  tracer.begin(id, 7, 1.0);
-  EXPECT_DOUBLE_EQ(tracer.end("task.cycle", 7, 3.0), 2.0);
-
-  tracer.begin("task.cycle", 8, 5.0);
-  EXPECT_TRUE(tracer.discard(id, 8));
-  EXPECT_EQ(tracer.open_count(), 0u);
-
-  // The exported span carries the interned name, not an id.
-  const MetricsSnapshot snap = reg.snapshot(10.0);
-  ASSERT_EQ(snap.spans.size(), 1u);
-  EXPECT_EQ(snap.spans[0].name, "task.cycle");
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "core/system.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_export.hpp"
 #include "workload/job.hpp"
 
 namespace oddci::core {
@@ -46,9 +51,6 @@ TEST(SystemConfigValidate, RejectsBadControllerKnobs) {
   config = SystemConfig{};
   config.obs.sample_interval = sim::SimTime::zero();
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  // ...unless observability is off entirely.
-  config.obs.enabled = false;
-  EXPECT_NO_THROW(config.validate());
 }
 
 // --- bounds-checked channel accessor ----------------------------------------
@@ -118,6 +120,79 @@ TEST(SystemMetrics, HundredThousandReceiverRunExportsFullSnapshot) {
   obs::write_json(path, m);
   EXPECT_EQ(obs::read_json(path), m);
 }
+
+// --- the causal trace carries both measured cycles ---------------------------
+
+// The wakeup W and the task cycle are measured once, in RunResult and the
+// backend.task_cycle_seconds histogram; a traced run must show the same
+// intervals between its causal events: instance.request -> instance.ready,
+// and each task's latest task.dispatched -> task.result.
+class TraceCycles : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TraceCycles, TraceIntervalsMatchRunResultAndHistogram) {
+  SystemConfig config;
+  config.receivers = 2'000;
+  config.channels = 2;
+  config.aggregators = 4;
+  config.seed = 4242;
+  config.control.overshoot_margin = 1.3;
+  config.obs.trace = true;
+  config.obs.trace_capacity = 1 << 18;
+  config.shards = GetParam();
+  OddciSystem system(config);
+  const workload::Job job = workload::make_uniform_job(
+      "trace-cycles", util::Bits::from_megabytes(2), 300,
+      util::Bits::from_bytes(512), util::Bits::from_bytes(512), 10.0);
+  const RunResult result = system.run_job(job, 100);
+  ASSERT_TRUE(result.completed);
+  ASSERT_GT(result.wakeup_seconds, 0.0);
+  for (const obs::FlightRecorder* rec : system.flight_recorders()) {
+    ASSERT_EQ(rec->overwritten(), 0u);  // the whole run is retained
+  }
+
+  std::int64_t requested_us = -1;
+  std::int64_t ready_us = -1;
+  std::unordered_map<std::uint64_t, std::int64_t> dispatched_us;
+  std::uint64_t results = 0;
+  double cycle_sum = 0.0;
+  for (const obs::TraceEvent& e :
+       obs::merge_events(system.flight_recorders())) {
+    switch (e.kind) {
+      case obs::TraceEventKind::kInstanceRequest:
+        requested_us = e.t_micros;
+        break;
+      case obs::TraceEventKind::kInstanceReady:
+        ready_us = e.t_micros;
+        break;
+      case obs::TraceEventKind::kTaskDispatched:
+        dispatched_us[e.arg] = e.t_micros;  // a re-dispatch supersedes
+        break;
+      case obs::TraceEventKind::kTaskResult: {
+        const auto it = dispatched_us.find(e.arg);
+        ASSERT_NE(it, dispatched_us.end()) << "result before dispatch";
+        ++results;
+        cycle_sum += static_cast<double>(e.t_micros - it->second) * 1e-6;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  ASSERT_GE(requested_us, 0);
+  ASSERT_GE(ready_us, requested_us);
+  EXPECT_NEAR(static_cast<double>(ready_us - requested_us) * 1e-6,
+              result.wakeup_seconds, 1e-6);
+
+  const obs::HistogramSample* cycles =
+      result.metrics.find_histogram("backend.task_cycle_seconds");
+  ASSERT_NE(cycles, nullptr);
+  EXPECT_EQ(results, job.task_count());
+  EXPECT_EQ(results, cycles->count);
+  EXPECT_NEAR(cycle_sum, cycles->sum, 1e-9 * cycles->sum);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, TraceCycles, ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace oddci::core

@@ -85,7 +85,7 @@ TEST(Sampler, ProbesMustRegisterBeforeStart) {
 }
 
 // Two runs of the same seeded scenario must produce bit-identical
-// snapshots — counters, histograms, sampled series and spans alike. The
+// snapshots — counters, histograms and sampled series alike. The
 // sampler reads counters only (no RNG, no allocation on the tick path), so
 // any divergence here means the instrumentation perturbed the simulation.
 TEST(Sampler, SeededRunsProduceBitIdenticalSnapshots) {
@@ -110,33 +110,6 @@ TEST(Sampler, SeededRunsProduceBitIdenticalSnapshots) {
   const SeriesSample* sizes = a.metrics.find_series("series.instance_size");
   ASSERT_NE(sizes, nullptr);
   EXPECT_FALSE(sizes->times.empty());
-}
-
-// Disabling observability removes the registry, the sampler and the
-// snapshot — and must not change the simulation itself.
-TEST(Sampler, ObsDisabledLeavesRunIdentical) {
-  const auto run_once = [](bool obs_enabled) {
-    core::SystemConfig config;
-    config.receivers = 300;
-    config.seed = 1234;
-    config.control.overshoot_margin = 1.3;
-    config.obs.enabled = obs_enabled;
-    core::OddciSystem system(config);
-    EXPECT_EQ(system.metrics() != nullptr, obs_enabled);
-    EXPECT_EQ(system.sampler() != nullptr, obs_enabled);
-    const workload::Job job = workload::make_uniform_job(
-        "determinism", util::Bits::from_megabytes(2), 200,
-        util::Bits::from_bytes(512), util::Bits::from_bytes(512), 10.0);
-    return system.run_job(job, 50);
-  };
-
-  const core::RunResult with_obs = run_once(true);
-  const core::RunResult without_obs = run_once(false);
-  EXPECT_EQ(without_obs.metrics, obs::MetricsSnapshot{});
-  EXPECT_DOUBLE_EQ(with_obs.makespan_seconds, without_obs.makespan_seconds);
-  EXPECT_DOUBLE_EQ(with_obs.wakeup_seconds, without_obs.wakeup_seconds);
-  EXPECT_EQ(with_obs.network.messages_delivered,
-            without_obs.network.messages_delivered);
 }
 
 }  // namespace
