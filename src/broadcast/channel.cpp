@@ -38,12 +38,10 @@ std::uint64_t BroadcastChannel::commit() {
                     obs::TraceComponent::kCarousel, {}, generation,
                     carousel_.current().files.size());
   }
-  if (sharded_ != nullptr && sharded_->shard_count() > 1) {
-    // Freeze this generation's signalling once; every cross-shard delivery
-    // shares the same immutable capsule.
-    capsule_ = std::make_shared<const SignallingCapsule>(SignallingCapsule{
-        ait_, carousel_.current(), section_loss_, section_size_});
-  }
+  // Freeze this generation's signalling once; every delivery shares the
+  // same immutable capsule.
+  capsule_ = std::make_shared<const SignallingCapsule>(SignallingCapsule{
+      ait_, carousel_.current(), section_loss_, section_size_});
   for (const auto& [id, listener] : listeners_) {
     (void)listener;
     schedule_acquisition(id);
@@ -65,19 +63,16 @@ void BroadcastChannel::schedule_acquisition(ListenerId id) {
         if (carousel_.current().generation != generation) {
           return;  // superseded by a newer commit; its own event will fire
         }
-        if (sharded_ == nullptr || sharded_->shard_count() == 1) {
-          it->second->on_signalling(ait_, carousel_.current());
+        // The superseded check above ran live on the channel's shard; the
+        // listener gets the frozen capsule, through the mailbox when it
+        // lives on another shard.
+        const Listener& target = it->second;
+        if (target.shard == 0) {
+          target.listener->on_signalling_capsule(capsule_);
           return;
         }
-        // Sharded: the superseded check above ran live on the channel's
-        // shard; only the final delivery crosses, as a frozen capsule.
-        const std::uint32_t shard = listener_shard(id);
-        if (shard == 0) {
-          it->second->on_signalling_capsule(capsule_);
-          return;
-        }
-        sharded_->post(0, shard, simulation_.now(),
-                       [listener = it->second, capsule = capsule_] {
+        sharded_->post(0, target.shard, simulation_.now(),
+                       [listener = target.listener, capsule = capsule_] {
                          listener->on_signalling_capsule(capsule);
                        });
       },
@@ -98,30 +93,31 @@ void BroadcastChannel::set_section_loss(double per_section_loss,
   section_size_ = section_size;
 }
 
-double section_loss_extra_cycles(const CarouselFile& file, double p,
-                                 util::Bits section_size, double u) {
+std::optional<sim::SimTime> lossy_read_completion_time(
+    const CarouselSnapshot& snapshot, const std::string& name,
+    sim::SimTime listen_from, double section_loss, util::Bits section_size,
+    util::Random& loss_rng) {
+  auto ready = snapshot.read_completion_time(name, listen_from);
+  if (!ready || section_loss <= 0.0) return ready;
+
+  const CarouselFile& file = *snapshot.find(name);
+  const double u = loss_rng.uniform();
   const auto sections = static_cast<double>(
       (file.size.count() + section_size.count() - 1) / section_size.count());
   const double root = std::pow(u, 1.0 / sections);
   double passes = 1.0;
   if (root < 1.0) {
-    passes = std::ceil(std::log1p(-root) / std::log(p));
+    passes = std::ceil(std::log1p(-root) / std::log(section_loss));
     passes = std::max(passes, 1.0);
   }
-  return passes - 1.0;
+  return *ready +
+         sim::SimTime::from_seconds((passes - 1.0) * snapshot.cycle_seconds());
 }
 
 std::optional<sim::SimTime> BroadcastChannel::file_ready_at(
     const std::string& name, sim::SimTime listen_from) {
-  auto base = carousel_.read_completion_time(name, listen_from);
-  if (!base || section_loss_ <= 0.0) return base;
-
-  const CarouselFile* file = carousel_.current().find(name);
-  const double u = rng_.uniform();
-  const double extra_cycles =
-      section_loss_extra_cycles(*file, section_loss_, section_size_, u);
-  return *base + sim::SimTime::from_seconds(
-                     extra_cycles * carousel_.current().cycle_seconds());
+  return lossy_read_completion_time(carousel_.current(), name, listen_from,
+                                    section_loss_, section_size_, rng_);
 }
 
 ListenerId BroadcastChannel::tune(BroadcastListener* listener) {
@@ -129,7 +125,7 @@ ListenerId BroadcastChannel::tune(BroadcastListener* listener) {
     throw std::invalid_argument("BroadcastChannel: null listener");
   }
   const ListenerId id = next_listener_++;
-  listeners_.emplace(id, listener);
+  listeners_.emplace(id, Listener{listener, 0});
   if (carousel_.has_committed()) {
     schedule_acquisition(id);
   }
@@ -145,10 +141,13 @@ ListenerId BroadcastChannel::tune_with_id(ListenerId id,
   if (id == 0 || listeners_.count(id) > 0) {
     throw std::invalid_argument("BroadcastChannel: bad stable listener id");
   }
+  if (shard != 0 && sharded_ == nullptr) {
+    throw std::invalid_argument(
+        "BroadcastChannel: off-control-shard listener needs set_sharded");
+  }
   // Stay clear of the auto-assigned range so plain tune() never collides.
   next_listener_ = std::max(next_listener_, id + 1);
-  listeners_.emplace(id, listener);
-  listener_shards_[id] = shard;
+  listeners_.emplace(id, Listener{listener, shard});
   if (carousel_.has_committed()) {
     schedule_acquisition(id);
   }

@@ -23,11 +23,10 @@
 /// trigger-application launch times across a population of set-top boxes.
 namespace oddci::broadcast {
 
-/// Immutable copy of one generation's on-air signalling, shared across
-/// shards of the sharded kernel: the channel (control shard) freezes its
-/// AIT, carousel snapshot and loss model at commit; receivers on other
-/// shards retain the capsule and compute acquisition times from it without
-/// ever touching the live channel.
+/// Immutable copy of one generation's on-air signalling: the channel
+/// (control shard) freezes its AIT, carousel snapshot and loss model at
+/// every commit; receivers on every shard retain the capsule and compute
+/// acquisition times from it without ever touching the live channel.
 struct SignallingCapsule {
   Ait ait;
   CarouselSnapshot snapshot;
@@ -35,17 +34,19 @@ struct SignallingCapsule {
   util::Bits section_size;
 };
 
-/// Extra full carousel cycles needed to capture every section of `file`
-/// under i.i.d. per-section loss `p` (in (0,1)), inverted from one
-/// pre-drawn Uniform(0,1) sample `u` — callers own the draw, so each RNG
-/// stream's consumption order is explicit. Each section needs
-/// Geometric(1-p) passes and the file completes when the slowest section
-/// lands: P(max passes <= m) = (1 - p^m)^k, so
+/// When a reader that starts listening at `listen_from` has `name` fully
+/// acquired from `snapshot` under i.i.d. per-section loss `section_loss`
+/// (in [0,1)): the loss-free read time plus whole extra carousel cycles.
+/// With loss on, one Uniform(0,1) sample is drawn from the caller's
+/// `loss_rng`, so each RNG stream's consumption order is explicit; without
+/// loss (or for a file not on air) nothing is drawn. Each section needs
+/// Geometric(1-p) passes and the file completes when the slowest of its k
+/// sections lands: P(max passes <= m) = (1 - p^m)^k, so the pass count is
 ///   m = ceil( log(1 - u^(1/k)) / log(p) ).
-[[nodiscard]] double section_loss_extra_cycles(const CarouselFile& file,
-                                               double p,
-                                               util::Bits section_size,
-                                               double u);
+[[nodiscard]] std::optional<sim::SimTime> lossy_read_completion_time(
+    const CarouselSnapshot& snapshot, const std::string& name,
+    sim::SimTime listen_from, double section_loss, util::Bits section_size,
+    util::Random& loss_rng);
 
 class BroadcastListener {
  public:
@@ -55,8 +56,8 @@ class BroadcastListener {
   virtual void on_signalling(const Ait& ait,
                              const CarouselSnapshot& snapshot) = 0;
 
-  /// Sharded-kernel delivery: signalling that crosses shards travels as a
-  /// shared immutable capsule. The default unwraps to on_signalling.
+  /// Capsule delivery (DTV carousel): signalling travels as a shared
+  /// immutable capsule. The default unwraps to on_signalling.
   virtual void on_signalling_capsule(
       const std::shared_ptr<const SignallingCapsule>& capsule) {
     on_signalling(capsule->ait, capsule->snapshot);
@@ -102,14 +103,16 @@ class BroadcastChannel final : public BroadcastMedium {
   /// its own phase delay. Returns the new carousel generation.
   std::uint64_t commit() override;
 
-  /// Attach a listener (receiver tuned to this channel). If signalling is
-  /// already on air, the listener acquires it after a phase delay.
+  /// Attach a listener on the control shard (receiver tuned to this
+  /// channel). If signalling is already on air, the listener acquires it
+  /// after a phase delay.
   ListenerId tune(BroadcastListener* listener) override;
 
-  /// Sharded-kernel tune: the caller supplies a stable listener id (so the
-  /// same receiver keeps its id across power cycles — cross-shard re-tunes
-  /// stay deterministic) and its kernel shard, which routes capsule
-  /// deliveries. Must only run on the channel's own (control) shard.
+  /// Tune with a stable listener id (so the same receiver keeps its id
+  /// across power cycles — cross-shard re-tunes stay deterministic) and
+  /// its kernel shard, which routes capsule deliveries. Must only run on
+  /// the channel's own (control) shard; a shard other than 0 needs
+  /// set_sharded first.
   ListenerId tune_with_id(ListenerId id, BroadcastListener* listener,
                           std::uint32_t shard) override;
 
@@ -117,10 +120,11 @@ class BroadcastChannel final : public BroadcastMedium {
   void untune(ListenerId id) override;
 
   /// Attach the sharded kernel: acquisition timers stay on the channel's
-  /// shard, but the final signalling delivery to a listener on another
-  /// shard is posted through the kernel mailbox as a capsule. Call before
-  /// any tune or commit.
+  /// shard, but the capsule delivery to a listener on another shard is
+  /// posted through the kernel mailbox. Call before any tune or commit.
   void set_sharded(sim::ShardedSimulation* sharded) { sharded_ = sharded; }
+
+  [[nodiscard]] bool delivers_capsules() const override { return true; }
 
   [[nodiscard]] std::size_t tuned_count() const override {
     return listeners_.size();
@@ -144,20 +148,23 @@ class BroadcastChannel final : public BroadcastMedium {
   [[nodiscard]] double section_loss() const { return section_loss_; }
 
   /// When a listener that starts reading at `listen_from` will have the
-  /// named carousel file fully acquired. With section loss enabled the
-  /// extra cycles are sampled from the channel's RNG (per call — each
-  /// receiver's reception experiences independent losses).
+  /// named carousel file fully acquired (lossy_read_completion_time over
+  /// the live carousel, drawing from the channel's RNG). Receivers do not
+  /// read through here: they read their capsule with their shard's loss
+  /// stream, so their draws never perturb the channel's phase stream.
   [[nodiscard]] std::optional<sim::SimTime> file_ready_at(
       const std::string& name, sim::SimTime listen_from) override;
 
   [[nodiscard]] std::uint64_t commits() const { return commit_count_; }
 
  private:
+  struct Listener {
+    BroadcastListener* listener;
+    /// Kernel shard the capsule delivery is routed to.
+    std::uint32_t shard;
+  };
+
   void schedule_acquisition(ListenerId id);
-  [[nodiscard]] std::uint32_t listener_shard(ListenerId id) const {
-    auto it = listener_shards_.find(id);
-    return it != listener_shards_.end() ? it->second : 0u;
-  }
 
   sim::Simulation& simulation_;
   TransportStream transport_;
@@ -167,15 +174,11 @@ class BroadcastChannel final : public BroadcastMedium {
   double section_loss_ = 0.0;
   util::Bits section_size_ = util::Bits::from_kilobytes(4);
   util::Random rng_;
-  std::unordered_map<ListenerId, BroadcastListener*> listeners_;
-  /// Shard homes survive untune: a listener id is bound to its shard for
-  /// the life of the channel (ids are stable across power cycles).
-  std::unordered_map<ListenerId, std::uint32_t> listener_shards_;
+  std::unordered_map<ListenerId, Listener> listeners_;
   ListenerId next_listener_ = 1;
   std::uint64_t commit_count_ = 0;
   sim::ShardedSimulation* sharded_ = nullptr;
-  /// Current generation's frozen signalling (built at commit when the
-  /// kernel has multiple shards).
+  /// Current generation's frozen signalling (built at every commit).
   std::shared_ptr<const SignallingCapsule> capsule_;
 };
 

@@ -45,9 +45,9 @@ class BroadcastMedium {
 
   // --- receivers --------------------------------------------------------------
   virtual ListenerId tune(BroadcastListener* listener) = 0;
-  /// Sharded-kernel tune with a caller-chosen stable id and the listener's
-  /// kernel shard (used to route deliveries). Media that do not support
-  /// sharding fall back to a plain tune and ignore both.
+  /// Tune with a caller-chosen stable id and the listener's kernel shard
+  /// (used to route deliveries). Media that do not support sharding fall
+  /// back to a plain tune and ignore both.
   virtual ListenerId tune_with_id(ListenerId id, BroadcastListener* listener,
                                   std::uint32_t shard) {
     (void)id;
@@ -56,6 +56,11 @@ class BroadcastMedium {
   }
   virtual void untune(ListenerId id) = 0;
   [[nodiscard]] virtual std::size_t tuned_count() const = 0;
+  /// True when every signalling delivery arrives as a frozen
+  /// SignallingCapsule that listeners read files from (the DTV carousel);
+  /// false when listeners read the live medium (IP multicast, which is
+  /// single-shard only).
+  [[nodiscard]] virtual bool delivers_capsules() const { return false; }
 
   /// When a receiver that starts listening at `listen_from` has fully
   /// acquired the named file (technology-specific; may be stochastic).

@@ -39,6 +39,13 @@ void SystemConfig::validate() const {
   if (window < sim::SimTime::zero()) {
     throw std::invalid_argument("SystemConfig: window must be >= 0");
   }
+  // The conservative window is only sound up to the lookahead: a wider one
+  // clamps nearly every cross-shard post to a later boundary.
+  if (window > std::min(receiver_latency, server_latency)) {
+    throw std::invalid_argument(
+        "SystemConfig: window must not exceed the lookahead "
+        "min(receiver_latency, server_latency)");
+  }
   control.validate();
   if (controller.default_heartbeat <= sim::SimTime::zero()) {
     throw std::invalid_argument(
@@ -388,9 +395,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
         kPnaApplicationName, [agent_env, pna_seed] {
           return std::make_unique<PnaXlet>(*agent_env, pna_seed);
         });
-    // Carousel-loss fork: at K = 1 the receiver is not shard-routed and
-    // draws section losses from the channel's own stream, as it did before
-    // sharding existed; the shard stream serves K > 1 only.
+    // Section losses draw from the shard's loss stream, in that shard's
+    // event order.
     receiver->set_shard_context(sharded_.get(), static_cast<std::uint32_t>(s),
                                 static_cast<broadcast::ListenerId>(i + 1),
                                 &agent_shards_[s]->loss_rng);
@@ -438,28 +444,16 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   }
 
   if (config_.churn) {
-    const std::uint64_t churn_seed = rng.engine().next();
-    // Churn-seed fork: K = 1 keeps the single process seeded straight from
-    // churn_seed (its pre-sharding trajectory); K > 1 splits per shard.
-    if (K == 1) {
-      std::vector<dtv::Receiver*> raw;
-      raw.reserve(receivers_.size());
-      for (auto& r : receivers_) raw.push_back(r.get());
-      churn_ = std::make_unique<ChurnProcess>(*simulation_, std::move(raw),
-                                              churn_seed, *config_.churn);
-      churn_->start();
-    } else {
-      // One churn process per shard, on that shard's kernel, over that
-      // shard's receivers: power cycles are ordinary intra-shard events.
-      std::vector<std::vector<dtv::Receiver*>> per_shard(K);
-      for (auto& r : receivers_) per_shard[r->shard()].push_back(r.get());
-      util::SplitMix64 churn_seeds(churn_seed);
-      for (std::size_t s = 0; s < K; ++s) {
-        churn_procs_.push_back(std::make_unique<ChurnProcess>(
-            sharded_->shard(s), std::move(per_shard[s]), churn_seeds.next(),
-            *config_.churn));
-        churn_procs_.back()->start();
-      }
+    // One churn process per shard, on that shard's kernel, over that
+    // shard's receivers: power cycles are ordinary intra-shard events.
+    std::vector<std::vector<dtv::Receiver*>> per_shard(K);
+    for (auto& r : receivers_) per_shard[r->shard()].push_back(r.get());
+    util::SplitMix64 churn_seeds(rng.engine().next());
+    for (std::size_t s = 0; s < K; ++s) {
+      churn_procs_.push_back(std::make_unique<ChurnProcess>(
+          sharded_->shard(s), std::move(per_shard[s]), churn_seeds.next(),
+          *config_.churn));
+      churn_procs_.back()->start();
     }
   }
 
@@ -470,9 +464,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     const std::uint64_t fseed = config_.fault.seed != 0
                                     ? config_.fault.seed
                                     : (config_.seed ^ 0x0DDC1FA17ull);
-    injector_ = std::make_unique<fault::FaultInjector>(*simulation_,
+    injector_ = std::make_unique<fault::FaultInjector>(*sharded_,
                                                        config_.fault, fseed);
-    injector_->set_sharded(sharded_.get());
     injector_->set_tracked_tag(static_cast<int>(kTagHeartbeat));
     network_->set_interposer(injector_.get());
     injector_->set_controller_hooks([this] { controller_->crash(); },
@@ -630,12 +623,8 @@ void OddciSystem::wire_observability() {
     }
     if (injector_) {
       injector_->set_recorder(control_rec);
-      // FaultInjector wire-shard split: only K > 1 draws wire verdicts per
-      // shard; K = 1 keeps its single pre-sharding stream and ring.
-      if (K > 1) {
-        for (std::size_t s = 0; s < K; ++s) {
-          injector_->set_shard_recorder(s, agent_shards_[s]->recorder.get());
-        }
+      for (std::size_t s = 0; s < K; ++s) {
+        injector_->set_shard_recorder(s, agent_shards_[s]->recorder.get());
       }
     }
     // Protocol-trace log lines share the recorder's clock: while this
@@ -650,8 +639,7 @@ void OddciSystem::wire_observability() {
   obs::Sampler::Options sopts;
   sopts.interval = config_.obs.sample_interval;
   sopts.max_points = config_.obs.max_series_points;
-  sampler_ = std::make_unique<obs::Sampler>(*simulation_, *registry_, sopts);
-  sampler_->set_sharded(sharded_.get());
+  sampler_ = std::make_unique<obs::Sampler>(*sharded_, *registry_, sopts);
   sampler_->add_gauge_series("series.instance_size", [this] {
     return static_cast<double>(controller_->total_member_count());
   });
@@ -852,6 +840,10 @@ std::size_t OddciSystem::busy_pna_count() const {
 RunResult OddciSystem::run_job(const workload::Job& job,
                                std::size_t instance_size,
                                sim::SimTime deadline) {
+  if (instance_size == 0 || instance_size > config_.receivers) {
+    throw std::invalid_argument(
+        "OddciSystem::run_job: instance_size must be in [1, receivers]");
+  }
   if (!controller_->deployed()) {
     controller_->deploy_pna();
     sharded_->run_until(simulation_->now() + config_.warmup);

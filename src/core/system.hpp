@@ -147,16 +147,18 @@ struct SystemConfig {
   std::uint64_t seed = 42;
 
   /// Sharded parallel event kernel: number of worker shards the receiver
-  /// population is partitioned across (see sim/sharded.hpp). 1 = the
-  /// classic single-threaded kernel, event-trajectory-identical to prior
-  /// versions; >1 runs the shards in parallel threads under a conservative
-  /// time-window barrier (deterministic for a fixed shard count, but a
-  /// different count yields a different — equally valid — trajectory).
-  /// Requires kDtvCarousel when >1.
+  /// population is partitioned across (see sim/sharded.hpp). 1 is the
+  /// one-shard case: the same per-shard random streams and code paths, run
+  /// without threads; >1 runs the shards in parallel threads under a
+  /// conservative time-window barrier (deterministic for a fixed shard
+  /// count, but a different count yields a different — equally valid —
+  /// trajectory). Requires kDtvCarousel when >1.
   std::size_t shards = 1;
   /// Conservative window width for shards > 1. Zero = auto: the minimum
   /// cross-shard delivery latency (receiver vs server propagation delay),
   /// capped at 5 ms so boundary clamping never exceeds the shortest wire.
+  /// An explicit width must not exceed that lookahead (validate() rejects
+  /// a wider one).
   sim::SimTime window = sim::SimTime::zero();
 
   /// Broadcast fan-out fast path: population-shared decoded control
@@ -270,7 +272,6 @@ class OddciSystem {
   [[nodiscard]] Controller& controller() { return *controller_; }
   [[nodiscard]] Provider& provider() { return *provider_; }
   [[nodiscard]] Backend& backend() { return *backend_; }
-  [[nodiscard]] ChurnProcess* churn() { return churn_.get(); }
   [[nodiscard]] const std::vector<std::unique_ptr<HeartbeatAggregator>>&
   aggregators() const {
     return aggregators_;
@@ -350,6 +351,8 @@ class OddciSystem {
   /// Convenience: deploy the PNA (if not yet), request an instance of
   /// `instance_size` nodes, submit `job`, run until completion or
   /// `deadline`, and collect the metrics. Leaves the instance dismantled.
+  /// Throws std::invalid_argument when `instance_size` is 0 or exceeds the
+  /// receiver population (no such instance can ever form).
   RunResult run_job(const workload::Job& job, std::size_t instance_size,
                     sim::SimTime deadline = sim::SimTime::from_hours(24));
 
@@ -410,9 +413,8 @@ class OddciSystem {
   std::unique_ptr<fault::ByzantineTable> byz_table_;
   PnaEnvironment::Byzantine byz_block_;
   std::vector<std::unique_ptr<dtv::Receiver>> receivers_;
-  std::unique_ptr<ChurnProcess> churn_;
-  /// K > 1: one churn process per shard, each driving its shard's receivers
-  /// on its shard's kernel (churn_ stays null).
+  /// One churn process per shard, each driving its shard's receivers on
+  /// its shard's kernel (empty for a static population).
   std::vector<std::unique_ptr<ChurnProcess>> churn_procs_;
   broadcast::SigningKey key_ = 0;
 

@@ -153,7 +153,7 @@ bool Verifier::needs_replica(std::uint64_t index) const {
   if (it == tasks_.end()) return true;  // first dispatch ever
   const TaskState& task = it->second;
   if (task.concluded) return false;
-  return task.live + task.votes.size() < task.target;
+  return task.live + task.weight < task.target;
 }
 
 bool Verifier::may_assign(std::uint64_t index, std::uint64_t pna_id,
@@ -208,7 +208,7 @@ Verifier::Dispatch Verifier::on_dispatch(std::uint64_t index,
   // replica's vote lands; on_result's kPending verdict re-queues it when
   // another replica is still wanted.
   dispatch.more_replicas = options_.eager_replicas &&
-                           task.live + task.votes.size() < task.target;
+                           task.live + task.weight < task.target;
   return dispatch;
 }
 
@@ -242,26 +242,24 @@ Verifier::Verdict Verifier::on_result(std::uint64_t index,
     verdict.outcome = Verdict::Outcome::kPending;
     return verdict;
   }
-  task.votes.push_back(Vote{pna_id, region_of(pna_id), digest, trace});
+  // Trusted-word discount, applied at vote time (so a promotion after the
+  // task's first dispatch still pays off): a kTrusted vote weighs as much
+  // as the replicas that standing saves, so it settles a fresh round alone
+  // and outweighs one unproven dissenter, whichever of the two came first.
+  const ReputationEntry* e = reputation(pna_id);
+  const std::uint32_t weight =
+      e != nullptr && e->state == ReputationState::kTrusted
+          ? options_.redundancy - options_.trusted_redundancy + 1
+          : 1;
+  task.votes.push_back(Vote{pna_id, region_of(pna_id), digest, weight, trace});
+  task.weight += weight;
   ++votes_pending_;
-  if (task.votes.size() == 1 && task.target == options_.redundancy &&
-      options_.trusted_redundancy < options_.redundancy) {
-    // Trusted-word discount, applied at vote time: if the round's first
-    // vote was cast by a node with earned kTrusted standing, shrink the
-    // quorum to the trusted target — promotion that happened after this
-    // task's first dispatch still pays off. Escalated rounds (target >
-    // redundancy) never take the shortcut.
-    const ReputationEntry* e = reputation(pna_id);
-    if (e != nullptr && e->state == ReputationState::kTrusted) {
-      task.target = options_.trusted_redundancy;
-    }
-  }
-  if (task.votes.size() < task.target) {
+  if (task.weight < task.target) {
     Verdict verdict;
     verdict.outcome = Verdict::Outcome::kPending;
     // Sequential quorum: ask the Backend to re-queue the task when the
     // round still wants replicas that are neither live nor voted.
-    verdict.requeue = task.live + task.votes.size() < task.target;
+    verdict.requeue = task.live + task.weight < task.target;
     return verdict;
   }
   return conclude(index, task, trace);
@@ -269,28 +267,30 @@ Verifier::Verdict Verifier::on_result(std::uint64_t index,
 
 Verifier::Verdict Verifier::conclude(std::uint64_t index, TaskState& task,
                                      obs::TraceContext trace) {
-  // Strict-majority vote over the digests of this round.
+  // Strict weighted majority over the digests of this round.
   std::uint64_t winner = 0;
-  std::size_t winner_count = 0;
+  std::uint32_t winner_weight = 0;
   for (const Vote& vote : task.votes) {
-    std::size_t count = 0;
+    std::uint32_t weight = 0;
     for (const Vote& other : task.votes) {
-      if (other.digest == vote.digest) ++count;
+      if (other.digest == vote.digest) weight += other.weight;
     }
-    if (count > winner_count) {
-      winner_count = count;
+    if (weight > winner_weight) {
+      winner_weight = weight;
       winner = vote.digest;
     }
   }
   Verdict verdict;
-  if (winner_count * 2 > task.votes.size()) {
+  if (winner_weight * 2 > task.weight) {
     // Quorum reached: settle every vote and the reputation of its caster.
     task.concluded = true;
     votes_pending_ -= task.votes.size();
     obs::TraceContext quorum_parent = trace;
+    std::uint64_t agreeing = 0;
     for (const Vote& vote : task.votes) {
       const bool agreed = vote.digest == winner;
       if (agreed) {
+        ++agreeing;
         ++verified_;
         quorum_parent = vote.trace;
       } else {
@@ -300,8 +300,7 @@ Verifier::Verdict Verifier::conclude(std::uint64_t index, TaskState& task,
       }
       update_reputation(vote.pna_id, agreed, /*spot=*/false);
     }
-    emit(obs::TraceEventKind::kVerifyQuorum, quorum_parent, winner_count,
-         index);
+    emit(obs::TraceEventKind::kVerifyQuorum, quorum_parent, agreeing, index);
     ++tasks_verified_;
     verdict.outcome = Verdict::Outcome::kAccepted;
     verdict.wrong =
@@ -309,13 +308,14 @@ Verifier::Verdict Verifier::conclude(std::uint64_t index, TaskState& task,
     if (verdict.wrong) ++wrong_results_;
     task.votes.clear();
     task.votes.shrink_to_fit();
+    task.weight = 0;
     return verdict;
   }
-  if (task.target < options_.max_redundancy) {
+  if (task.weight < options_.max_redundancy) {
     // Tie (e.g. a 2-quorum split): widen the vote by one replica. This is
     // a re-vote, not a retry — the Backend books it separately so a noisy
     // quorum never trips the per-task retry cap.
-    ++task.target;
+    task.target = task.weight + 1;
     ++escalations_;
     emit(obs::TraceEventKind::kVerifyEscalated, trace, task.target, index);
     verdict.outcome = Verdict::Outcome::kEscalated;
@@ -328,6 +328,7 @@ Verifier::Verdict Verifier::conclude(std::uint64_t index, TaskState& task,
   discarded_ += task.votes.size();
   votes_pending_ -= task.votes.size();
   task.votes.clear();
+  task.weight = 0;
   task.target = options_.redundancy;
   ++rounds_discarded_;
   verdict.outcome = Verdict::Outcome::kDiscarded;
@@ -371,6 +372,7 @@ void Verifier::on_crash() {
   for (auto& [index, task] : tasks_) {
     task.live = 0;
     task.votes.clear();
+    task.weight = 0;
     if (!task.concluded) task.target = options_.redundancy;
   }
   spot_flushed_ += spot_outstanding_.size();

@@ -34,8 +34,9 @@ struct VerifyOptions {
   std::uint32_t redundancy = 2;
   /// Replicas when the first assignee has earned kTrusted standing — the
   /// verified-throughput discount (1 = accept a trusted node's word).
-  /// Also applied retroactively at vote time: a round's first vote cast
-  /// by a kTrusted node re-targets the quorum down to this size.
+  /// Also applied at vote time: a vote cast by a kTrusted node weighs
+  /// redundancy - trusted_redundancy + 1 in the quorum, so it settles a
+  /// fresh round alone and outweighs one unproven dissenter.
   std::uint32_t trusted_redundancy = 1;
   /// Queue all `target` replicas of a task immediately (classic parallel
   /// k-way dispatch) instead of the default sequential quorum, where the
@@ -240,13 +241,14 @@ class Verifier {
     std::uint64_t pna_id = 0;
     std::uint32_t region = 0;
     std::uint64_t digest = 0;
+    std::uint32_t weight = 1;           ///< trusted votes weigh more
     obs::TraceContext trace;
   };
   struct TaskState {
     std::uint32_t target = 0;           ///< current round's quorum size
     std::uint32_t live = 0;             ///< replicas assigned, no result yet
+    std::uint32_t weight = 0;           ///< summed weight of `votes`
     std::uint32_t replicas_ever = 0;    ///< replica-number allocator
-    std::uint16_t revotes = 0;
     bool concluded = false;
     std::vector<Vote> votes;            ///< this round's arrived digests
     std::vector<std::uint64_t> servers; ///< every PNA ever assigned

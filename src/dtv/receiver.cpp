@@ -43,10 +43,11 @@ void Receiver::set_shard_context(sim::ShardedSimulation* sharded,
                                  std::uint32_t shard,
                                  broadcast::ListenerId stable_listener_id,
                                  util::Random* loss_rng) {
-  if (sharded != nullptr && sharded->shard_count() > 1 &&
-      (stable_listener_id == 0 || loss_rng == nullptr)) {
+  if (stable_listener_id == 0 || loss_rng == nullptr ||
+      (shard != 0 && sharded == nullptr)) {
     throw std::invalid_argument(
-        "Receiver: sharded context needs a stable listener id and loss rng");
+        "Receiver: shard context needs a stable listener id, a loss rng and "
+        "(off shard 0) the sharded kernel");
   }
   sharded_ = sharded;
   shard_ = shard;
@@ -56,42 +57,35 @@ void Receiver::set_shard_context(sim::ShardedSimulation* sharded,
 
 const broadcast::CarouselSnapshot* Receiver::current_carousel() const {
   if (!powered() || channel_ == nullptr) return nullptr;
-  if (sharded_mode()) {
-    // Never dereference the live channel from a worker shard: act on the
-    // retained capsule (null until the first signalling delivery).
+  if (channel_->delivers_capsules()) {
+    // Never dereference the live channel, which belongs to the control
+    // shard: act on the retained capsule (null until the first signalling
+    // delivery).
     return capsule_ != nullptr ? &capsule_->snapshot : nullptr;
   }
   return &channel_->current();
 }
 
 void Receiver::channel_tune() {
-  if (!sharded_mode()) {
-    listener_id_ = channel_->tune(this);
-    return;
-  }
-  listener_id_ = stable_listener_id_;
   if (shard_ == 0 || !shard_routing_live_) {
-    channel_->tune_with_id(stable_listener_id_, this, shard_);
+    listener_id_ = channel_->tune_with_id(stable_listener_id_, this, shard_);
     return;
   }
   // The channel lives on the control shard; mailbox FIFO order keeps
   // tune/untune sequences from one receiver in program order.
+  listener_id_ = stable_listener_id_;
   sharded_->post(shard_, 0, simulation_.now(), [this, channel = channel_] {
     channel->tune_with_id(stable_listener_id_, this, shard_);
   });
 }
 
 void Receiver::channel_untune() {
-  if (!sharded_mode()) {
+  if (shard_ == 0 || !shard_routing_live_) {
     channel_->untune(listener_id_);
     return;
   }
-  if (shard_ == 0 || !shard_routing_live_) {
-    channel_->untune(stable_listener_id_);
-    return;
-  }
   sharded_->post(shard_, 0, simulation_.now(),
-                 [channel = channel_, id = stable_listener_id_] {
+                 [channel = channel_, id = listener_id_] {
                    channel->untune(id);
                  });
 }
@@ -214,20 +208,28 @@ void Receiver::read_carousel_file(
   if (!on_done) {
     throw std::invalid_argument("Receiver: empty carousel callback");
   }
-  if (!powered() || channel_ == nullptr) {
+  const broadcast::CarouselSnapshot* snapshot = current_carousel();
+  if (snapshot == nullptr) {
     on_done(false, broadcast::CarouselFile{});
     return;
   }
-  if (sharded_mode()) {
-    sharded_read_carousel_file(name, std::move(on_done));
-    return;
+  std::optional<sim::SimTime> ready;
+  if (channel_->delivers_capsules()) {
+    // Acquisition comes entirely from the retained capsule. Section-loss
+    // extra cycles draw from this shard's loss stream, keeping each
+    // shard's RNG consumption independent of the others and of the
+    // channel's own stream.
+    ready = broadcast::lossy_read_completion_time(
+        *snapshot, name, simulation_.now(), capsule_->section_loss,
+        capsule_->section_size, *loss_rng_);
+  } else {
+    ready = channel_->file_ready_at(name, simulation_.now());
   }
-  const auto ready = channel_->file_ready_at(name, simulation_.now());
   if (!ready) {
     on_done(false, broadcast::CarouselFile{});
     return;
   }
-  const broadcast::CarouselFile file = *channel_->current().find(name);
+  const broadcast::CarouselFile file = *snapshot->find(name);
   const std::uint64_t session = session_;
   simulation_.schedule_at(
       *ready, [this, session, file, cb = std::move(on_done)] {
@@ -236,58 +238,10 @@ void Receiver::read_carousel_file(
         // is unchanged (same name/version/content): real DSM-CC receivers
         // keep assembling a module across unrelated carousel updates and
         // only restart on a module-version bump.
-        if (session_ != session || channel_ == nullptr) {
-          cb(false, broadcast::CarouselFile{});
-          return;
-        }
+        const broadcast::CarouselSnapshot* on_air = current_carousel();
         const broadcast::CarouselFile* now_on_air =
-            channel_->current().find(file.name);
-        if (now_on_air == nullptr || now_on_air->version != file.version ||
-            now_on_air->content_id != file.content_id) {
-          cb(false, broadcast::CarouselFile{});
-          return;
-        }
-        cb(true, file);
-      });
-}
-
-void Receiver::sharded_read_carousel_file(
-    const std::string& name,
-    std::function<void(bool, broadcast::CarouselFile)> on_done) {
-  // Sharded kernel: compute acquisition entirely from the retained capsule
-  // — the live channel belongs to the control shard. Section-loss extra
-  // cycles draw from this shard's loss stream, keeping each shard's RNG
-  // consumption independent of the others.
-  if (capsule_ == nullptr) {
-    on_done(false, broadcast::CarouselFile{});
-    return;
-  }
-  const auto capsule = capsule_;
-  const broadcast::CarouselSnapshot& snapshot = capsule->snapshot;
-  auto ready = snapshot.read_completion_time(name, simulation_.now());
-  if (!ready) {
-    on_done(false, broadcast::CarouselFile{});
-    return;
-  }
-  const broadcast::CarouselFile file = *snapshot.find(name);
-  if (capsule->section_loss > 0.0) {
-    const double extra = broadcast::section_loss_extra_cycles(
-        file, capsule->section_loss, capsule->section_size,
-        loss_rng_->uniform());
-    *ready += sim::SimTime::from_seconds(extra * snapshot.cycle_seconds());
-  }
-  const std::uint64_t session = session_;
-  simulation_.schedule_at(
-      *ready, [this, session, file, cb = std::move(on_done)] {
-        if (session_ != session || channel_ == nullptr ||
-            capsule_ == nullptr) {
-          cb(false, broadcast::CarouselFile{});
-          return;
-        }
-        // Same module-identity check as the classic path, against whatever
-        // signalling this receiver has acquired by now.
-        const broadcast::CarouselFile* now_on_air =
-            capsule_->snapshot.find(file.name);
+            session_ == session && on_air != nullptr ? on_air->find(file.name)
+                                                     : nullptr;
         if (now_on_air == nullptr || now_on_air->version != file.version ||
             now_on_air->content_id != file.content_id) {
           cb(false, broadcast::CarouselFile{});

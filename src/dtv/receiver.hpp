@@ -53,11 +53,12 @@ class Receiver final : public broadcast::BroadcastListener,
 
   // --- sharded kernel -------------------------------------------------------
   /// Place this receiver on kernel shard `shard`. `stable_listener_id` is
-  /// its channel listener id for life (so cross-shard re-tunes after power
-  /// cycles stay deterministic); `loss_rng` is the shard's section-loss
-  /// stream (shared by the shard's receivers, drawn in event order). The
-  /// receiver's `simulation` reference must already be the shard's kernel.
-  /// With a single shard this is a no-op configuration.
+  /// its channel listener id for life (so re-tunes after power cycles stay
+  /// deterministic); `loss_rng` is the shard's section-loss stream (shared
+  /// by the shard's receivers, drawn in event order). The receiver's
+  /// `simulation` reference must already be the shard's kernel. Required
+  /// before tuning a capsule medium (the DTV carousel) at any shard count;
+  /// `sharded` may be null for a receiver on shard 0.
   void set_shard_context(sim::ShardedSimulation* sharded, std::uint32_t shard,
                          broadcast::ListenerId stable_listener_id,
                          util::Random* loss_rng);
@@ -70,8 +71,9 @@ class Receiver final : public broadcast::BroadcastListener,
 
   [[nodiscard]] std::uint32_t shard() const { return shard_; }
 
-  /// The carousel view this receiver acts on: the live channel snapshot in
-  /// the classic kernel, the retained signalling capsule under sharding.
+  /// The carousel view this receiver acts on: the retained signalling
+  /// capsule on a capsule medium (the DTV carousel), the live snapshot
+  /// otherwise (IP multicast).
   [[nodiscard]] const broadcast::CarouselSnapshot* current_carousel() const;
 
   // --- power --------------------------------------------------------------
@@ -133,16 +135,10 @@ class Receiver final : public broadcast::BroadcastListener,
 
   void autostart_from_ait(const broadcast::Ait& ait);
 
-  [[nodiscard]] bool sharded_mode() const {
-    return sharded_ != nullptr && sharded_->shard_count() > 1;
-  }
-  /// Tuner mutations under sharding: direct while single-threaded (or on
-  /// the control shard), mailbox-posted from worker shards.
+  /// Tuner mutations: direct while single-threaded (or on the control
+  /// shard), mailbox-posted from worker shards.
   void channel_tune();
   void channel_untune();
-  void sharded_read_carousel_file(
-      const std::string& name,
-      std::function<void(bool ok, broadcast::CarouselFile file)> on_done);
 
   sim::Simulation& simulation_;
   net::Network& network_;
@@ -166,7 +162,7 @@ class Receiver final : public broadcast::BroadcastListener,
   broadcast::ListenerId stable_listener_id_ = 0;
   util::Random* loss_rng_ = nullptr;
   bool shard_routing_live_ = false;
-  /// Latest signalling capsule (sharded kernel): the receiver's own frozen
+  /// Latest signalling capsule (capsule media): the receiver's own frozen
   /// view of what is on air, used for carousel reads and version checks.
   std::shared_ptr<const broadcast::SignallingCapsule> capsule_;
 };

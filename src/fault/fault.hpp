@@ -26,8 +26,8 @@
 /// Two pseudo-random streams, both derived from the one injector seed:
 ///  * the *plan* stream draws Poisson interarrival gaps and victim picks
 ///    for scheduled faults (partitions, crashes, hangs, corruption);
-///  * the *wire* stream draws the per-message loss/duplication/latency
-///    verdicts inside `net::Network::send`.
+///  * the *wire* streams, one per kernel shard, draw the per-message
+///    loss/duplication/latency verdicts inside `net::Network::send`.
 /// Splitting them keeps message-level noise from perturbing the schedule
 /// of the big structural faults.
 namespace oddci::fault {
@@ -116,7 +116,11 @@ class FaultInjector final : public net::SendInterposer {
   using PnaFaultFn =
       std::function<bool(std::uint64_t pick, bool hang, sim::SimTime duration)>;
 
-  FaultInjector(sim::Simulation& simulation, const FaultOptions& options,
+  /// The plan runs as global tasks at window boundaries of `kernel` —
+  /// every shard parked, so partition state mutates race-free — and each
+  /// shard gets its own wire stream and counters, so per-message verdicts
+  /// never contend across threads. A one-shard kernel has one wire stream.
+  FaultInjector(sim::ShardedSimulation& kernel, const FaultOptions& options,
                 std::uint64_t seed);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -137,16 +141,8 @@ class FaultInjector final : public net::SendInterposer {
   /// fault.* trace event. nullptr detaches.
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
-  /// Attach the sharded kernel (call before start() and before any send is
-  /// interposed). With more than one shard the plan runs as global tasks at
-  /// window boundaries — every shard parked, so partition state mutates
-  /// race-free — and each shard gets its own wire stream and counters so
-  /// per-message verdicts never contend across threads.
-  void set_sharded(sim::ShardedSimulation* sharded);
-
   /// Wire-fault trace events for sends originating on `shard` go to this
-  /// recorder (plan-level faults still use set_recorder's). Only meaningful
-  /// after set_sharded with >1 shard.
+  /// recorder (plan-level faults still use set_recorder's).
   void set_shard_recorder(std::size_t shard, obs::FlightRecorder* recorder);
 
   /// Expose the fault.* counters in `registry`. The injector must outlive
@@ -229,33 +225,26 @@ class FaultInjector final : public net::SendInterposer {
   /// interarrival gaps of mean 3600/per_hour seconds, forever.
   void arm_poisson(double per_hour, std::function<void()> action);
 
-  /// Plan-event scheduling: classic kernel timers at K = 1, coordinator
-  /// global tasks (all shards parked) under the sharded kernel.
+  /// Plan-event scheduling: coordinator global tasks (all shards parked).
   void plan_at(sim::SimTime at, std::function<void()> fn);
   void plan_in(sim::SimTime delay, std::function<void()> fn);
-  [[nodiscard]] bool sharded_wire() const { return !wire_shards_.empty(); }
 
   void start_partition();
   void crash_aggregator();
   void fire_pna(bool hang);
   void fire_corruption();
 
-  [[nodiscard]] Action on_send_sharded(net::NodeId from, net::NodeId to,
-                                       const net::Message& message,
-                                       std::size_t src_shard);
-
   void emit(obs::TraceEventKind kind, obs::TraceComponent component,
             std::uint64_t actor, std::uint64_t arg);
   void emit_wire(std::size_t shard, obs::TraceEventKind kind,
                  std::uint64_t actor, std::uint64_t arg);
 
-  sim::Simulation& simulation_;
+  /// Its control-shard clock is the plan's clock.
+  sim::ShardedSimulation& kernel_;
   FaultOptions options_;
   util::Random rng_;
   util::Random plan_rng_;
-  util::Random wire_rng_;
-  sim::ShardedSimulation* sharded_ = nullptr;
-  /// Non-empty exactly when the kernel has >1 shard.
+  /// One entry per kernel shard.
   std::vector<WireShard> wire_shards_;
 
   Hook controller_crash_;
@@ -274,13 +263,7 @@ class FaultInjector final : public net::SendInterposer {
   bool started_ = false;
 
   int tracked_tag_ = -1;
-  obs::Counter tracked_lost_;
-  obs::Counter tracked_duplicated_;
 
-  obs::Counter messages_lost_;
-  obs::Counter messages_duplicated_;
-  obs::Counter latency_spikes_;
-  obs::Counter partition_dropped_;
   obs::Counter partitions_started_;
   obs::Counter partitions_healed_;
   obs::Counter controller_crashes_;

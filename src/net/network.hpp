@@ -79,8 +79,8 @@ class SendInterposer {
   };
 
   virtual ~SendInterposer() = default;
-  /// `src_shard` is the kernel shard whose thread is making the send (0 in
-  /// the classic single-shard kernel); interposers that draw randomness
+  /// `src_shard` is the kernel shard whose thread is making the send (0 at
+  /// K = 1); interposers that draw randomness
   /// must key their stream on it to stay race-free and deterministic.
   virtual Action on_send(NodeId from, NodeId to, const Message& message,
                          std::size_t src_shard) = 0;

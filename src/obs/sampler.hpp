@@ -7,10 +7,9 @@
 
 #include "obs/metrics.hpp"
 #include "sim/sharded.hpp"
-#include "sim/simulation.hpp"
 
-/// Sim-time sampler: a `PeriodicTask` on the timer wheel that reads a set
-/// of probes every `interval` of simulated time and appends the values to
+/// Sim-time sampler: a chain of kernel global tasks that reads a set of
+/// probes every `interval` of simulated time and appends the values to
 /// named `TimeSeries` in the registry. Probes are registered once, before
 /// start(); each tick is a plain loop over preallocated closures — no
 /// allocation, no RNG, so two runs of the same seeded scenario produce
@@ -26,8 +25,11 @@ class Sampler {
     void validate() const;
   };
 
-  Sampler(sim::Simulation& simulation, MetricsRegistry& registry);
-  Sampler(sim::Simulation& simulation, MetricsRegistry& registry,
+  /// Ticks run on the coordinator at window boundaries of `kernel`, with
+  /// every shard parked, so probes may read state spanning shards. The
+  /// sampler must outlive the kernel's run loop.
+  Sampler(sim::ShardedSimulation& kernel, MetricsRegistry& registry);
+  Sampler(sim::ShardedSimulation& kernel, MetricsRegistry& registry,
           Options options);
   ~Sampler();
 
@@ -54,13 +56,6 @@ class Sampler {
   /// null disables.
   void set_on_tick(std::function<void()> hook) { on_tick_ = std::move(hook); }
 
-  /// Drive ticks through the sharded kernel's global-task queue instead of
-  /// a shard-local timer: each tick runs on the coordinator at a window
-  /// boundary, with every shard parked, so probes may read state spanning
-  /// shards. No-op with a single shard (the PeriodicTask path is used).
-  /// Call before start(); the sampler must outlive the kernel's run loop.
-  void set_sharded(sim::ShardedSimulation* sharded) { sharded_ = sharded; }
-
   /// First tick fires one interval from now.
   void start();
   void stop();
@@ -86,17 +81,15 @@ class Sampler {
     std::uint64_t last = 0;
   };
 
-  void schedule_global_tick();
+  void schedule_tick();
 
-  sim::Simulation& simulation_;
+  sim::ShardedSimulation& kernel_;
   MetricsRegistry& registry_;
   Options options_;
   std::vector<GaugeProbe> gauges_;
   std::vector<RateProbe> rates_;
   std::vector<RateFnProbe> rate_fns_;
   std::function<void()> on_tick_;
-  sim::PeriodicTask task_;
-  sim::ShardedSimulation* sharded_ = nullptr;
   sim::SimTime next_tick_at_;
   bool running_ = false;
   std::uint64_t ticks_ = 0;

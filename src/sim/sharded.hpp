@@ -28,7 +28,7 @@
 ///
 /// Determinism contract (see DESIGN.md "Sharded kernel"):
 ///  * K = 1 takes a direct delegation path (no threads, no windows, no
-///    mail) and is event-trajectory-identical to the pre-sharding kernel;
+///    mail): the one-shard case of the same contract;
 ///  * for fixed K > 1, two same-seed runs produce identical trajectories,
 ///    metrics and traces; different K may (and generally do) differ,
 ///    because cross-shard deliveries are clamped to window boundaries.
@@ -44,11 +44,12 @@ namespace oddci::sim {
 class ShardedSimulation {
  public:
   struct Options {
-    /// Number of shards (worker partitions). 1 = the classic kernel.
+    /// Number of shards (worker partitions). 1 = one shard, no threads.
     std::size_t shards = 1;
     /// Conservative window width. Must not exceed the minimum cross-shard
     /// delivery latency or boundary clamping will distort timing more
-    /// than a window's width (still deterministic, just coarser).
+    /// than a window's width (still deterministic, just coarser);
+    /// core::SystemConfig::validate() rejects a wider explicit window.
     SimTime window = SimTime::from_millis(5);
 
     void validate() const;

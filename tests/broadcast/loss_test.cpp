@@ -13,28 +13,39 @@ struct LossTest : ::testing::Test {
   BroadcastChannel channel{
       sim, TransportStream(kMbps(1.1), util::BitRate::from_kbps(100)), 77};
 
+  util::Random loss_rng{5};
+
   void stage_image() {
     channel.carousel().put_file("image", util::Bits::from_megabytes(1), 1);
     channel.commit();
+  }
+  /// Loss-adjusted read of the committed generation with 4 KiB sections,
+  /// drawing from the test's own stream.
+  std::optional<sim::SimTime> ready_at(const std::string& name, double loss) {
+    return lossy_read_completion_time(channel.carousel().current(), name,
+                                      sim.now(), loss,
+                                      util::Bits::from_kilobytes(4), loss_rng);
   }
 };
 
 TEST_F(LossTest, ZeroLossMatchesDeterministicModel) {
   stage_image();
-  const auto a = channel.file_ready_at("image", sim.now());
+  const auto a = ready_at("image", 0.0);
   const auto b = channel.carousel().read_completion_time("image", sim.now());
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, *b);
+  EXPECT_FALSE(ready_at("missing", 0.05));
+  util::Random untouched{5};
+  EXPECT_EQ(loss_rng.uniform(), untouched.uniform());
 }
 
 TEST_F(LossTest, LossOnlyAddsWholeCycles) {
-  channel.set_section_loss(0.05);
   stage_image();
   const double cycle = channel.carousel().current().cycle_seconds();
   const auto base =
       channel.carousel().read_completion_time("image", sim.now());
   for (int i = 0; i < 200; ++i) {
-    const auto t = channel.file_ready_at("image", sim.now());
+    const auto t = ready_at("image", 0.05);
     ASSERT_TRUE(t.has_value());
     const double extra = (*t - *base).seconds();
     EXPECT_GE(extra, -1e-9);
@@ -47,10 +58,9 @@ TEST_F(LossTest, LossOnlyAddsWholeCycles) {
 TEST_F(LossTest, HigherLossMeansLongerMeanAcquisition) {
   stage_image();
   auto mean_extra = [&](double loss) {
-    channel.set_section_loss(loss);
     util::RunningStats stats;
     for (int i = 0; i < 500; ++i) {
-      const auto t = channel.file_ready_at("image", sim.now());
+      const auto t = ready_at("image", loss);
       stats.add(t->seconds());
     }
     return stats.mean();
@@ -61,7 +71,6 @@ TEST_F(LossTest, HigherLossMeansLongerMeanAcquisition) {
 }
 
 TEST_F(LossTest, SmallFilesSufferLessThanLargeOnes) {
-  channel.set_section_loss(0.05);
   channel.carousel().put_file("big", util::Bits::from_megabytes(4), 1);
   channel.carousel().put_file("tiny", util::Bits::from_bytes(512), 2);
   channel.commit();
@@ -72,10 +81,10 @@ TEST_F(LossTest, SmallFilesSufferLessThanLargeOnes) {
         channel.carousel().read_completion_time("big", sim.now());
     const auto base_tiny =
         channel.carousel().read_completion_time("tiny", sim.now());
-    big_extra.add((*channel.file_ready_at("big", sim.now()) - *base_big)
+    big_extra.add((*ready_at("big", 0.05) - *base_big)
                       .seconds() /
                   cycle);
-    tiny_extra.add((*channel.file_ready_at("tiny", sim.now()) - *base_tiny)
+    tiny_extra.add((*ready_at("tiny", 0.05) - *base_tiny)
                        .seconds() /
                    cycle);
   }

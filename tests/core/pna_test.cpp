@@ -100,6 +100,7 @@ struct PnaTest : ::testing::Test {
   broadcast::VerifyCache verify_cache;
   net::MessagePool<HeartbeatMessage> heartbeat_pool;
   PnaEnvironment env;
+  util::Random loss_rng{11};
   std::unique_ptr<dtv::Receiver> receiver;
 
   void SetUp() override {
@@ -117,6 +118,7 @@ struct PnaTest : ::testing::Test {
     receiver->application_manager().register_factory(
         kPnaApplicationName,
         [this] { return std::make_unique<PnaXlet>(env, /*seed=*/77); });
+    receiver->set_shard_context(nullptr, 0, 1, &loss_rng);
     receiver->tune(channel);
 
     // Deploy the PNA trigger application, as the Controller would.

@@ -291,6 +291,47 @@ TEST(Quorum, SequentialQuorumAndTrustedFirstVoteEarlyAccept) {
   EXPECT_FALSE(v15.wrong);
 }
 
+// A trusted vote weighs what its standing saves, so it settles a round
+// against one unproven dissenter whichever of the two lands first: the
+// forged first vote is outvoted at once instead of costing an escalation
+// replica, and its caster takes the strike immediately.
+TEST(Quorum, TrustedSecondVoteOutweighsUnprovenDissenter) {
+  sim::Simulation sim;
+  const auto job = small_job(16);
+  Verifier verifier(sim, base_options(), 1);
+  verifier.begin_job(kInstance, &job);
+
+  const std::uint64_t star = 700;
+  for (std::uint64_t index = 0; index < 8; ++index) {
+    verifier.on_dispatch(index, star);
+    verifier.on_dispatch(index, 800 + index);
+    verifier.on_result(index, star, honest(index), {});
+    verifier.on_result(index, 800 + index, honest(index), {});
+  }
+  ASSERT_EQ(verifier.reputation(star)->state, ReputationState::kTrusted);
+  const auto before = verifier.stats();
+
+  const std::uint64_t forger = 900;
+  const std::uint64_t index = 9;
+  verifier.on_dispatch(index, forger);
+  const auto v0 = verifier.on_result(
+      index, forger, fault::forged_result_digest(0xBAD, kInstance, index), {});
+  EXPECT_EQ(v0.outcome, Verifier::Verdict::Outcome::kPending);
+  EXPECT_TRUE(v0.requeue);
+  verifier.on_dispatch(index, star);
+  const auto v1 = verifier.on_result(index, star, honest(index), {});
+  EXPECT_EQ(v1.outcome, Verifier::Verdict::Outcome::kAccepted);
+  EXPECT_FALSE(v1.wrong);
+
+  const auto s = verifier.stats();
+  EXPECT_EQ(s.dispatched - before.dispatched, 2u);
+  EXPECT_EQ(s.escalations, before.escalations);
+  EXPECT_EQ(s.outvoted - before.outvoted, 1u);
+  EXPECT_DOUBLE_EQ(verifier.reputation(forger)->score, 0.375);
+  EXPECT_EQ(s.dispatched, s.verified + s.outvoted + s.discarded);
+  EXPECT_EQ(s.outstanding, 0u);
+}
+
 // The region-diversity rule: with a region function installed, a strict
 // pass never co-locates two replicas of one task in one aggregator region
 // (where colluders are recruited); the relaxed pass may.

@@ -30,8 +30,19 @@ struct ReceiverTest : ::testing::Test {
   net::LinkSpec link{util::BitRate::from_kbps(150),
                      util::BitRate::from_kbps(150),
                      sim::SimTime::from_millis(10)};
-  std::unique_ptr<Receiver> receiver = std::make_unique<Receiver>(
-      sim, net, DeviceProfile::stb_st7109(), link);
+  // Listener id and section-loss stream, as OddciSystem gives every
+  // receiver on the control shard.
+  util::Random loss_rng{11};
+  std::unique_ptr<Receiver> receiver = [this] {
+    auto r = std::make_unique<Receiver>(sim, net, DeviceProfile::stb_st7109(),
+                                        link);
+    r->set_shard_context(nullptr, 0, 1, &loss_rng);
+    return r;
+  }();
+
+  /// Run past one table repetition: every tuned receiver has acquired the
+  /// signalling capsule it reads the carousel from.
+  void acquire() { sim.run_until(sim.now() + sim::SimTime::from_millis(500)); }
 };
 
 TEST_F(ReceiverTest, StartsInStandbyAndRegistered) {
@@ -141,7 +152,9 @@ TEST_F(ReceiverTest, CarouselReadCompletesAfterAcquisition) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.commit();
+  acquire();
   bool ok_read = false;
+  const sim::SimTime read_start = sim.now();
   sim::SimTime done_at;
   receiver->read_carousel_file(
       "f", [&](bool ok, const broadcast::CarouselFile& file) {
@@ -153,13 +166,14 @@ TEST_F(ReceiverTest, CarouselReadCompletesAfterAcquisition) {
   sim.run();
   EXPECT_TRUE(ok_read);
   // At 1 Mbps the 1 Mbit file needs at least 1 s (plus phase wait).
-  EXPECT_GE(done_at.seconds(), 1.0 - 1e-6);
+  EXPECT_GE((done_at - read_start).seconds(), 1.0 - 1e-6);
 }
 
 TEST_F(ReceiverTest, CarouselReadInvalidatedByPowerOff) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.commit();
+  acquire();
   bool ok_read = true;
   bool called = false;
   receiver->read_carousel_file(
@@ -178,6 +192,7 @@ TEST_F(ReceiverTest, CarouselReadSurvivesUnrelatedCommit) {
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.carousel().put_file("other", util::Bits(1'000'000), 2);
   channel.commit();
+  acquire();
   bool ok_read = false;
   receiver->read_carousel_file(
       "f",
@@ -193,6 +208,7 @@ TEST_F(ReceiverTest, CarouselReadInvalidatedByModuleUpdate) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.commit();
+  acquire();
   bool ok_read = true;
   receiver->read_carousel_file(
       "f",
@@ -251,6 +267,63 @@ TEST_F(ReceiverTest, ChannelChangeDestroysApps) {
   // `other` is destroyed before the fixture's receiver; tune back so
   // ~Receiver does not untune a dead channel.
   receiver->tune(channel);
+}
+
+// Section-loss draws of receivers' carousel reads come from their shard's
+// loss stream, so the channel's own stream (commit rotations, per-listener
+// phase delays) is the same with and without loss: a plain listener
+// acquires the next commit after the same delay either way.
+TEST(ReceiverLossStream, LossyReadsLeaveTheChannelStreamAlone) {
+  struct Recorder final : broadcast::BroadcastListener {
+    sim::Simulation* sim = nullptr;
+    std::vector<sim::SimTime> acquired;
+    void on_signalling(const broadcast::Ait&,
+                       const broadcast::CarouselSnapshot&) override {
+      acquired.push_back(sim->now());
+    }
+  };
+  const auto second_commit_delay = [](double loss) {
+    sim::Simulation sim;
+    net::Network net{sim};
+    broadcast::BroadcastChannel channel{
+        sim, broadcast::TransportStream(kMbps(1.1),
+                                        util::BitRate::from_kbps(100)),
+        7, sim::SimTime::from_millis(500)};
+    channel.set_section_loss(loss);
+    const net::LinkSpec link{util::BitRate::from_kbps(150),
+                             util::BitRate::from_kbps(150),
+                             sim::SimTime::from_millis(10)};
+    util::Random loss_rng{11};
+    std::vector<std::unique_ptr<Receiver>> receivers;
+    for (broadcast::ListenerId id = 1; id <= 4; ++id) {
+      receivers.push_back(std::make_unique<Receiver>(
+          sim, net, DeviceProfile::stb_st7109(), link));
+      receivers.back()->set_shard_context(nullptr, 0, id, &loss_rng);
+      receivers.back()->tune(channel);
+    }
+    Recorder plain;
+    plain.sim = &sim;
+    channel.tune(&plain);
+
+    channel.carousel().put_file("f", util::Bits(1'000'000), 1);
+    channel.commit();
+    sim.run_until(sim::SimTime::from_millis(500));
+    int reads = 0;
+    for (auto& r : receivers) {
+      r->read_carousel_file(
+          "f", [&](bool ok, const broadcast::CarouselFile&) { reads += ok; });
+    }
+    sim.run();
+    EXPECT_EQ(reads, 4);
+
+    const sim::SimTime committed_at = sim.now();
+    channel.carousel().put_file("g", util::Bits(1'000), 2);
+    channel.commit();
+    sim.run();
+    EXPECT_EQ(plain.acquired.size(), 2u);
+    return (plain.acquired.back() - committed_at).micros();
+  };
+  EXPECT_EQ(second_commit_delay(0.0), second_commit_delay(0.05));
 }
 
 }  // namespace

@@ -95,31 +95,16 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedReplay,
                            return "K" + std::to_string(info.param);
                          });
 
-// shards = 1 must take the classic single-kernel path exactly: same
-// trajectory as a config that never mentions sharding. (Equality with the
-// pre-refactor tree is pinned by Replay.SeededHundredThousandReceiver...,
-// whose scenario and fingerprint are unchanged.)
-TEST(ShardedReplay, SingleShardIsTheClassicKernel) {
-  SystemConfig classic = scenario(1);
-  classic.obs.trace = true;
-  const Export one = run_scenario(classic);
+// The fault matrix and a churning, lossy population at K = 1 (the
+// one-shard case: the same per-shard wire, churn and section-loss streams)
+// and at K = 4 (per-shard streams, plan events as coordinator global
+// tasks, re-tunes through the mailboxes with stable listener ids). Each K
+// replays byte for byte, and the job still loses nothing.
+class ShardedScenarioReplay : public ::testing::TestWithParam<std::size_t> {};
 
-  SystemConfig untouched = scenario(1);
-  untouched.shards = 1;  // explicit default
-  untouched.window = sim::SimTime::zero();
-  const Export defaulted = run_scenario(untouched);
-
-  EXPECT_EQ(one, defaulted);
-  EXPECT_EQ(one.cross_posts, 0u);
-  EXPECT_EQ(one.windows_run, 0u);
-}
-
-// The fault matrix on a sharded kernel: per-shard wire streams, plan
-// events as coordinator global tasks. Still byte-replayable at fixed K,
-// and the job still loses nothing.
-TEST(ShardedReplay, FaultMatrixOnFourShardsIsByteIdentical) {
-  auto build = [] {
-    SystemConfig config = scenario(4);
+TEST_P(ShardedScenarioReplay, FaultMatrixIsByteIdentical) {
+  auto build = [k = GetParam()] {
+    SystemConfig config = scenario(k);
     config.fault.enabled = true;
     config.fault.message_loss = 0.01;
     config.fault.message_duplication = 0.01;
@@ -145,12 +130,11 @@ TEST(ShardedReplay, FaultMatrixOnFourShardsIsByteIdentical) {
             std::string::npos);
 }
 
-// Churn (power cycling) across shards: re-tunes route through the
-// mailboxes with stable listener ids; replay must stay exact.
-TEST(ShardedReplay, ChurningPopulationOnTwoShardsIsByteIdentical) {
-  auto build = [] {
-    SystemConfig config = scenario(2);
+TEST_P(ShardedScenarioReplay, ChurningLossyPopulationIsByteIdentical) {
+  auto build = [k = GetParam()] {
+    SystemConfig config = scenario(k);
     config.receivers = 4'000;
+    config.section_loss = 0.02;
     ChurnOptions churn;
     churn.mean_on_seconds = 300.0;
     churn.mean_off_seconds = 120.0;
@@ -160,9 +144,18 @@ TEST(ShardedReplay, ChurningPopulationOnTwoShardsIsByteIdentical) {
 
   const Export first = run_scenario(build());
   const Export second = run_scenario(build());
+  EXPECT_EQ(first.metrics_json, second.metrics_json);
+  EXPECT_EQ(first.chrome_trace, second.chrome_trace);
   EXPECT_EQ(first, second);
   EXPECT_TRUE(first.completed);
+  EXPECT_EQ(first.unique_results, 100u);
 }
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedScenarioReplay,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         [](const auto& info) {
+                           return "K" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace oddci::core

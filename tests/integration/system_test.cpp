@@ -97,15 +97,21 @@ TEST(SystemIntegration, PartiallyTunedPopulationStillWorks) {
 }
 
 TEST(SystemIntegration, OversubscribedTargetNeverForms) {
-  // Target bigger than the tuned population: the wakeup can never complete,
-  // but the job still finishes on the nodes that did join.
+  // Target bigger than the tuned population (about half of 40 receivers):
+  // the wakeup can never complete, but the job still finishes on the nodes
+  // that did join.
   SystemConfig config = small_config();
-  config.receivers = 20;
+  config.receivers = 40;
+  config.tuned_fraction = 0.5;
   OddciSystem system(config);
   const auto result =
       system.run_job(small_job(50), 40, sim::SimTime::from_hours(2));
   EXPECT_TRUE(result.completed);
   EXPECT_LT(result.final_instance_size, 40u);
+  // A target no population of this size can meet, or an empty one, is
+  // rejected before anything runs.
+  EXPECT_THROW(system.run_job(small_job(50), 41), std::invalid_argument);
+  EXPECT_THROW(system.run_job(small_job(50), 0), std::invalid_argument);
 }
 
 TEST(SystemIntegration, SequentialJobsReuseThePlatform) {
@@ -156,6 +162,23 @@ TEST(SystemIntegration, ConfigValidation) {
   }
   config = SystemConfig{};
   config.section_loss = 0.5;
+  EXPECT_NO_THROW(config.validate());
+  // An explicit window must not exceed the lookahead, min(receiver,
+  // server latency) = 5 ms by default; zero keeps the auto-derived one.
+  config = SystemConfig{};
+  config.shards = 4;
+  config.window = sim::SimTime::from_millis(5);
+  EXPECT_NO_THROW(config.validate());
+  config.window = sim::SimTime::from_micros(5'001);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.window = sim::SimTime::from_seconds(100);
+  EXPECT_THROW(OddciSystem{config}, std::invalid_argument);
+  config.server_latency = sim::SimTime::from_millis(80);
+  config.window = sim::SimTime::from_millis(50);
+  EXPECT_NO_THROW(config.validate());
+  config.window = sim::SimTime::from_millis(51);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.window = sim::SimTime::zero();
   EXPECT_NO_THROW(config.validate());
 }
 

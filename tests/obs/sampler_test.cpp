@@ -4,7 +4,7 @@
 
 #include "core/system.hpp"
 #include "obs/metrics.hpp"
-#include "sim/simulation.hpp"
+#include "sim/sharded.hpp"
 #include "workload/job.hpp"
 
 namespace oddci::obs {
@@ -20,20 +20,20 @@ TEST(Sampler, OptionsValidate) {
 }
 
 TEST(Sampler, GaugeSeriesRecordsEveryInterval) {
-  sim::Simulation simulation;
+  sim::ShardedSimulation kernel({});
   MetricsRegistry reg;
   Sampler::Options opts;
   opts.interval = sim::SimTime::from_seconds(10);
-  Sampler sampler(simulation, reg, opts);
+  Sampler sampler(kernel, reg, opts);
 
   double level = 0.0;
   sampler.add_gauge_series("level", [&level] { return level; });
   sampler.start();
   EXPECT_TRUE(sampler.running());
 
-  simulation.schedule_at(sim::SimTime::from_seconds(15),
-                         [&level] { level = 5.0; });
-  simulation.run_until(sim::SimTime::from_seconds(35));
+  kernel.control().schedule_at(sim::SimTime::from_seconds(15),
+                               [&level] { level = 5.0; });
+  kernel.run_until(sim::SimTime::from_seconds(35));
 
   const MetricsSnapshot snap = reg.snapshot(35.0);
   const SeriesSample* s = snap.find_series("level");
@@ -48,20 +48,20 @@ TEST(Sampler, GaugeSeriesRecordsEveryInterval) {
 }
 
 TEST(Sampler, RateSeriesIsPerSecondDelta) {
-  sim::Simulation simulation;
+  sim::ShardedSimulation kernel({});
   MetricsRegistry reg;
   Sampler::Options opts;
   opts.interval = sim::SimTime::from_seconds(10);
-  Sampler sampler(simulation, reg, opts);
+  Sampler sampler(kernel, reg, opts);
 
   Counter beats;
   sampler.add_rate_series("rate", beats);
   sampler.start();
 
   // 30 increments in the first interval, none in the second.
-  simulation.schedule_at(sim::SimTime::from_seconds(5),
-                         [&beats] { beats.inc(30); });
-  simulation.run_until(sim::SimTime::from_seconds(25));
+  kernel.control().schedule_at(sim::SimTime::from_seconds(5),
+                               [&beats] { beats.inc(30); });
+  kernel.run_until(sim::SimTime::from_seconds(25));
 
   const MetricsSnapshot snap = reg.snapshot(25.0);
   const SeriesSample* s = snap.find_series("rate");
@@ -72,9 +72,9 @@ TEST(Sampler, RateSeriesIsPerSecondDelta) {
 }
 
 TEST(Sampler, ProbesMustRegisterBeforeStart) {
-  sim::Simulation simulation;
+  sim::ShardedSimulation kernel({});
   MetricsRegistry reg;
-  Sampler sampler(simulation, reg);
+  Sampler sampler(kernel, reg);
   sampler.start();
   EXPECT_THROW(sampler.add_gauge_series("late", [] { return 0.0; }),
                std::logic_error);
